@@ -8,6 +8,8 @@
 #ifndef OSD_BENCH_BENCH_UTIL_H_
 #define OSD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -33,6 +35,18 @@ struct ScaledDefaults {
   static constexpr double kQueryEdge = 200.0; // h_q  (paper: 200)
   static constexpr int kNumQueries = 5;     // workload (paper: 100, 1:20)
 };
+
+/// Nearest-rank percentile, the rule perfbench/run.py uses: the smallest
+/// sample with at least a fraction `p` (in (0, 1]) of all samples at or
+/// below it. Sorts `v`; 0 when empty. The rank is computed in integer
+/// thousandths so float rounding of `p` cannot move it.
+inline double Percentile(std::vector<double>& v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t permille = static_cast<size_t>(std::llround(p * 1000.0));
+  const size_t rank = std::max<size_t>(1, (permille * v.size() + 999) / 1000);
+  return v[std::min(rank, v.size()) - 1];
+}
 
 /// Aggregated result of one (dataset, operator) workload run.
 struct WorkloadSummary {

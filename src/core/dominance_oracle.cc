@@ -113,8 +113,17 @@ bool DominanceOracle::SsSdOrderHolds(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::DistributionsDiffer(ObjectProfile& u,
                                           ObjectProfile& v) {
-  return !DiscreteDistribution::ApproxEqual(u.Distribution(),
-                                            v.Distribution());
+  // The merged distribution's first and last atoms are bit-equal to
+  // MinAll() / MaxAll(): FromAtoms keeps every (positive-mass) distance and
+  // the fused statistics fold the same distances (DESIGN §10). A gap at
+  // either extreme is therefore exactly ApproxEqual's "differ" verdict,
+  // reached without the all-pairs sort.
+  if (std::abs(u.MinAll() - v.MinAll()) > kEps ||
+      std::abs(u.MaxAll() - v.MaxAll()) > kEps) {
+    return true;
+  }
+  return !DiscreteDistribution::ApproxEqual(u.Distribution(), v.Distribution(),
+                                            kEps);
 }
 
 bool DominanceOracle::CoverValidates(ObjectProfile& u, ObjectProfile& v) {
@@ -157,6 +166,7 @@ bool DominanceOracle::StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
+  if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
   if (config_.level_by_level) {
     OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
     const EnvelopeDecision d = EnvelopeSSd(u.object(), v.object(), *ctx_,
@@ -164,7 +174,6 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
     if (d == EnvelopeDecision::kDominates) return true;
     if (d == EnvelopeDecision::kNotDominates) return false;
   }
-  if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
   if (!SSdOrderHolds(u, v)) return false;
@@ -173,6 +182,10 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
+  if (config_.stat_pruning &&
+      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
+    return false;
+  }
   if (config_.level_by_level) {
     // Per-query-instance envelopes pay |Q| sweeps per round, so they only
     // out-compete the exact per-q scans at very shallow depth.
@@ -184,10 +197,6 @@ bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
                                             config_.geometric, stats_, limits);
     if (d == EnvelopeDecision::kDominates) return true;
     if (d == EnvelopeDecision::kNotDominates) return false;
-  }
-  if (config_.stat_pruning &&
-      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
-    return false;
   }
   if (config_.cover_rules) {
     // Cover-based pruning: not S-SD implies not SS-SD (Theorem 2),
@@ -357,15 +366,15 @@ bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
+  if (config_.stat_pruning &&
+      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
+    return false;
+  }
   if (config_.level_by_level) {
     OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
     const Tri d = PSdLevel(u, v);
     if (d == Tri::kTrue) return true;
     if (d == Tri::kFalse) return false;
-  }
-  if (config_.stat_pruning &&
-      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
-    return false;
   }
   if (config_.cover_rules) {
     // Cover-based pruning: not SS-SD implies not P-SD (Theorem 2),

@@ -13,6 +13,11 @@
 //    local R-trees (level-by-level) or from the profile's distance matrix.
 //  - F+-SD: the MBR-level test of [Emrich et al. 2010].
 //
+// Each checker runs its filters cheapest first: cover validation,
+// statistic refutation, level-by-level refinement, envelope cover pruning,
+// then the exact check (DESIGN.md, "Filter order"). Reordering sound
+// filters never changes a verdict, only which filter reaches it.
+//
 // All operators enforce the U_Q != V_Q side condition from Definitions
 // 2/3/5 (we also apply it to F-SD so identical objects never eliminate
 // each other; the paper leaves that case unspecified).

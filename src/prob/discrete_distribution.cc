@@ -9,8 +9,15 @@ namespace osd {
 
 DiscreteDistribution DiscreteDistribution::FromAtoms(std::vector<Atom> atoms) {
   OSD_CHECK(!atoms.empty());
-  std::sort(atoms.begin(), atoms.end(),
-            [](const Atom& a, const Atom& b) { return a.value < b.value; });
+  // Equal values keep their input order, so the merged mass below is the
+  // in-order sum on every standard library. Sorted input (the profile's
+  // all-pairs view) skips the sort.
+  const auto by_value = [](const Atom& a, const Atom& b) {
+    return a.value < b.value;
+  };
+  if (!std::is_sorted(atoms.begin(), atoms.end(), by_value)) {
+    std::stable_sort(atoms.begin(), atoms.end(), by_value);
+  }
   DiscreteDistribution dist;
   double sum = 0.0;
   for (const Atom& a : atoms) {

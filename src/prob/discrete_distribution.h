@@ -25,6 +25,7 @@ class DiscreteDistribution {
   DiscreteDistribution() = default;
 
   /// Builds from unsorted atoms; values are sorted, duplicates merged.
+  /// Atoms of equal value merge in input order (the sort is stable).
   /// Probabilities must be positive and sum to 1 within `kSumTolerance`.
   static DiscreteDistribution FromAtoms(std::vector<Atom> atoms);
 

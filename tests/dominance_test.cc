@@ -117,6 +117,82 @@ TEST(PaperExamples, IdenticalObjectsNeverDominate) {
 }
 
 // ---------------------------------------------------------------------------
+// The U_Q != V_Q side condition: settled from the distance extremes when
+// they differ, by the full distribution comparison when they coincide.
+// ---------------------------------------------------------------------------
+
+constexpr Operator kStochasticOps[] = {Operator::kSSd, Operator::kSsSd,
+                                       Operator::kPSd};
+
+const FilterConfig kAllConfigs[] = {
+    FilterConfig::All(), FilterConfig::BruteForce(), FilterConfig::L(),
+    FilterConfig::LP(),  FilterConfig::LG(),         FilterConfig::LGP(),
+};
+
+TEST(DistributionInequality, EqualExtremesFallBackToFullComparison) {
+  // Same min (1) and max (5) distance, different interior atom: only the
+  // full comparison can tell U_Q from V_Q, and U dominates V.
+  const UncertainObject q = Obj1D(-1, {0.0});
+  const UncertainObject u = Obj1D(0, {1.0, 2.0, 5.0});
+  const UncertainObject v = Obj1D(1, {1.0, 4.0, 5.0});
+  for (const FilterConfig& cfg : kAllConfigs) {
+    for (Operator op : kStochasticOps) {
+      EXPECT_TRUE(Check(op, u, v, q, cfg)) << OperatorName(op);
+      EXPECT_FALSE(Check(op, v, u, q, cfg)) << OperatorName(op);
+    }
+    EXPECT_FALSE(Check(Operator::kFSd, u, v, q, cfg));  // 5 > 1
+  }
+}
+
+TEST(DistributionInequality, ExtremeGapsAroundTheTolerance) {
+  // U is V moved toward the query by `shift`, so only the extremes (and
+  // every atom) move. Below the 1e-9 tolerance U_Q and V_Q count as equal
+  // and nothing dominates; above it U dominates V.
+  const UncertainObject q = Obj1D(-1, {0.0});
+  const UncertainObject v = Obj1D(1, {1.0, 2.0, 3.0});
+  for (double shift : {1e-10, 1e-8}) {
+    const UncertainObject u = Obj1D(0, {1.0 - shift, 2.0 - shift, 3.0 - shift});
+    const bool differ = shift > 1e-9;
+    ASSERT_EQ(BruteSSd(u, v, q), differ) << shift;
+    for (const FilterConfig& cfg : kAllConfigs) {
+      for (Operator op : kStochasticOps) {
+        EXPECT_EQ(Check(op, u, v, q, cfg), differ)
+            << OperatorName(op) << " shift " << shift;
+        EXPECT_FALSE(Check(op, v, u, q, cfg))
+            << OperatorName(op) << " shift " << shift;
+      }
+    }
+  }
+  // One extreme apart, the other equal: the gap alone decides "differ".
+  for (const UncertainObject& u :
+       {Obj1D(0, {1.0 - 1e-8, 2.0, 3.0}), Obj1D(0, {1.0, 2.0, 3.0 - 1e-8})}) {
+    for (const FilterConfig& cfg : kAllConfigs) {
+      for (Operator op : kStochasticOps) {
+        EXPECT_TRUE(Check(op, u, v, q, cfg)) << OperatorName(op);
+      }
+    }
+  }
+}
+
+TEST(DistributionInequality, ColocatedDuplicatesNeverDominate) {
+  // Same instance multiset, listed in a different order and with ties in
+  // the distances: U_Q == V_Q, so neither eliminates the other.
+  const UncertainObject q =
+      UncertainObject::Uniform(-1, 2, {0.0, 0.0, 1.0, 0.0});
+  const UncertainObject u =
+      UncertainObject::Uniform(0, 2, {2.0, 1.0, 2.0, -1.0, 3.0, 0.0});
+  const UncertainObject v =
+      UncertainObject::Uniform(1, 2, {3.0, 0.0, 2.0, -1.0, 2.0, 1.0});
+  for (const FilterConfig& cfg : kAllConfigs) {
+    for (Operator op : {Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                        Operator::kFSd, Operator::kFPlusSd}) {
+      EXPECT_FALSE(Check(op, u, v, q, cfg)) << OperatorName(op);
+      EXPECT_FALSE(Check(op, v, u, q, cfg)) << OperatorName(op);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized agreement with brute force, across filter configurations.
 // ---------------------------------------------------------------------------
 

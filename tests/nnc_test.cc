@@ -97,6 +97,49 @@ INSTANTIATE_TEST_SUITE_P(Sweep, NncAgreement,
                          ::testing::Combine(::testing::Values(2, 3),
                                             ::testing::Values(1, 2, 3)));
 
+// Objects far wider than the gaps between their centers overlap so heavily
+// that the statistic conditions (Theorem 11), which run before the
+// level-by-level networks, decide most dominance checks. The answers must
+// still equal the brute-force NNC under every filter configuration.
+TEST(NncAgreementOverlap, StatisticsDecideMostChecksAndAnswersMatch) {
+  long stat_prunes = 0;
+  long filtered_checks = 0;
+  for (int seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed * 4099);
+    std::vector<UncertainObject> objects;
+    for (int i = 0; i < 36; ++i) {
+      const int m = 2 + static_cast<int>(rng.UniformInt(0, 6));
+      objects.push_back(RandomObject(i, 2, m, 6.0, 14.0, rng));
+    }
+    const Dataset dataset(std::move(objects));
+    const UncertainObject query = RandomObject(-1, 2, 3, 6.0, 2.0, rng);
+    const std::pair<Operator, std::vector<int>> cases[] = {
+        {Operator::kSSd, BruteNnc(dataset.objects(), query, BruteSSd)},
+        {Operator::kSsSd, BruteNnc(dataset.objects(), query, BruteSsSd)},
+        {Operator::kPSd, BruteNnc(dataset.objects(), query, BrutePSd)},
+        {Operator::kFSd, BruteNnc(dataset.objects(), query, BruteFSd)},
+    };
+    for (const auto& [op, expected] : cases) {
+      for (const FilterConfig& cfg :
+           {FilterConfig::All(), FilterConfig::LGP(),
+            FilterConfig::BruteForce()}) {
+        NncOptions options;
+        options.op = op;
+        options.filters = cfg;
+        const NncResult result = NncSearch(dataset, options).Run(query);
+        EXPECT_EQ(AsSet(result.candidates), AsSet(expected))
+            << OperatorName(op) << " seed " << seed;
+        if (cfg.stat_pruning && op != Operator::kFSd) {
+          stat_prunes += result.stats.stat_prunes;
+          filtered_checks += result.stats.dominance_checks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(2 * stat_prunes, filtered_checks)
+      << stat_prunes << " of " << filtered_checks << " checks";
+}
+
 TEST(NncSearchTest, ExcludesTheQueryObject) {
   Rng rng(10);
   auto objects = RandomObjects(25, 2, 15.0, rng);
@@ -155,6 +198,38 @@ TEST(NncSearchTest, DuplicateObjectsBothSurvive) {
     EXPECT_TRUE(got.count(0)) << OperatorName(op);
     EXPECT_TRUE(got.count(1)) << OperatorName(op);
     EXPECT_FALSE(got.count(2)) << OperatorName(op);
+  }
+}
+
+TEST(NncSearchTest, ColocatedDuplicatesSurviveAmongOverlappingObjects) {
+  // Two copies of the object nearest the query, instances listed in a
+  // different order, inside a crowd of wide overlapping objects: U_Q ==
+  // V_Q keeps either copy from eliminating the other under every operator.
+  Rng rng(77);
+  std::vector<UncertainObject> objects;
+  for (int i = 0; i < 24; ++i) {
+    const int m = 2 + static_cast<int>(rng.UniformInt(0, 4));
+    objects.push_back(RandomObject(i, 2, m, 6.0, 14.0, rng));
+  }
+  objects.push_back(
+      UncertainObject::Uniform(24, 2, {3.0, 3.0, 3.5, 2.5, 2.5, 3.5}));
+  objects.push_back(
+      UncertainObject::Uniform(25, 2, {2.5, 3.5, 3.5, 2.5, 3.0, 3.0}));
+  const Dataset dataset(std::move(objects));
+  const UncertainObject query =
+      UncertainObject::Uniform(-1, 2, {2.9, 3.0, 3.1, 3.0});
+  for (Operator op : {Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                      Operator::kFSd, Operator::kFPlusSd}) {
+    for (const FilterConfig& cfg :
+         {FilterConfig::All(), FilterConfig::LGP(),
+          FilterConfig::BruteForce()}) {
+      NncOptions options;
+      options.op = op;
+      options.filters = cfg;
+      const auto got = AsSet(NncSearch(dataset, options).Run(query).candidates);
+      EXPECT_TRUE(got.count(24)) << OperatorName(op);
+      EXPECT_TRUE(got.count(25)) << OperatorName(op);
+    }
   }
 }
 

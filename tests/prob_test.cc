@@ -1,6 +1,7 @@
 // Tests for discrete distributions, the stochastic-order scan, and the
 // match-order construction (Theorem 1).
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -27,6 +28,42 @@ TEST(DiscreteDistributionTest, SortsAndMergesAtoms) {
   EXPECT_DOUBLE_EQ(d.atoms()[0].value, 1.0);
   EXPECT_DOUBLE_EQ(d.atoms()[2].value, 3.0);
   EXPECT_DOUBLE_EQ(d.atoms()[2].prob, 0.5);
+}
+
+TEST(DiscreteDistributionTest, TiesMergeInInputOrder) {
+  // Many unsorted atoms over three values with irregular masses: floating
+  // addition is not associative, so the merged mass of each value is pinned
+  // bit-for-bit to the sum taken in input order.
+  Rng rng(17);
+  constexpr int kAtoms = 3000;
+  std::vector<double> weights(kAtoms);
+  double total = 0.0;
+  for (double& w : weights) {
+    w = rng.Uniform(0.1, 10.0);
+    total += w;
+  }
+  std::vector<DiscreteDistribution::Atom> atoms;
+  double expected[3] = {0.0, 0.0, 0.0};
+  for (int i = 0; i < kAtoms; ++i) {
+    const int value = (i * 7) % 3;
+    atoms.push_back({static_cast<double>(value), weights[i] / total});
+    expected[value] += weights[i] / total;
+  }
+  const auto d = DiscreteDistribution::FromAtoms(atoms);
+  ASSERT_EQ(d.size(), 3);
+  for (int value = 0; value < 3; ++value) {
+    EXPECT_EQ(d.atoms()[value].value, value);
+    EXPECT_EQ(d.atoms()[value].prob, expected[value]) << "value " << value;
+  }
+  // Already-sorted input merges the same way.
+  std::stable_sort(atoms.begin(), atoms.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.value < b.value;
+                   });
+  const auto sorted = DiscreteDistribution::FromAtoms(std::move(atoms));
+  for (int value = 0; value < 3; ++value) {
+    EXPECT_EQ(sorted.atoms()[value].prob, expected[value]) << "value " << value;
+  }
 }
 
 TEST(DiscreteDistributionTest, Statistics) {

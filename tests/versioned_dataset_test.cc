@@ -10,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -275,7 +276,15 @@ TEST(VersionedDatasetTest, PinnedEpochIsBitIdenticalUnderAWriterStorm) {
     }
   });
 
-  for (int round = 0; round < 10; ++round) {
+  // Keep re-running until the storm has landed a write (bounded): a fast
+  // reader can otherwise finish every round before the writer thread is
+  // first scheduled, and then nothing raced it.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int round = 0;
+       round < 10 ||
+       (store.epoch() == 0 && std::chrono::steady_clock::now() < give_up);
+       ++round) {
     size_t b = 0;
     for (Operator op : kAllOps) {
       for (const auto& entry : workload) {
