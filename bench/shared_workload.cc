@@ -1,17 +1,17 @@
-// Aggregate throughput of the cross-query work-sharing layers: the
-// engine-wide profile cache plus multi-query batched traversal, measured
-// on a skewed (Zipf) multi-client workload — the regime the sharing was
-// built for, where a hot set of queries repeats across clients.
+// Aggregate throughput of cross-query work sharing (the engine-wide
+// profile cache), measured on a skewed (Zipf) multi-client workload — the
+// regime the sharing was built for, where a hot set of queries repeats
+// across clients.
 //
 // Usage:
 //   shared_workload [--objects N] [--clients C] [--threads T]
 //                   [--distinct K] [--zipf-s S] [--seconds SECS]
-//                   [--cache-bytes B] [--max-batch M] [--batch-window-us U]
+//                   [--cache-bytes B]
 //                   [--out BENCH_shared.json]
 //
 // Two closed-loop rounds over the identical workload and dataset:
-//   unshared — profile cache off, max_batch 1 (the pre-sharing engine)
-//   shared   — cache + batching on at the flag-configured sizes
+//   unshared — profile cache off (the pre-sharing engine)
+//   shared   — profile cache on at --cache-bytes
 // C client threads each loop {draw a query by Zipf rank over K distinct
 // queries, Submit, Wait}, so offered load self-regulates and latency
 // percentiles are honest. Both rounds get one untimed warmup pass over
@@ -51,8 +51,6 @@ struct Config {
   double zipf_s = 1.1;  // Zipf exponent (1.1 ~ web-cache-like skew)
   double seconds = 2.0;
   long cache_bytes = 256L << 20;
-  int max_batch = 4;
-  double batch_window_us = 200.0;
   std::string out = "BENCH_shared.json";
 };
 
@@ -81,10 +79,6 @@ Config ParseArgs(int argc, char** argv) {
       cfg.seconds = std::atof(value().c_str());
     } else if (flag == "--cache-bytes") {
       cfg.cache_bytes = std::atol(value().c_str());
-    } else if (flag == "--max-batch") {
-      cfg.max_batch = std::atoi(value().c_str());
-    } else if (flag == "--batch-window-us") {
-      cfg.batch_window_us = std::atof(value().c_str());
     } else if (flag == "--out") {
       cfg.out = value();
     } else {
@@ -162,11 +156,7 @@ RoundResult RunRound(const Dataset& dataset,
                      bool shared) {
   EngineOptions options;
   options.num_threads = cfg.threads;
-  if (shared) {
-    options.profile_cache_bytes = cfg.cache_bytes;
-    options.max_batch = cfg.max_batch;
-    options.batch_window_us = cfg.batch_window_us;
-  }
+  if (shared) options.profile_cache_bytes = cfg.cache_bytes;
   QueryEngine engine(dataset, options);
 
   RoundResult result;
@@ -278,11 +268,9 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\"bench\":\"shared_workload\",\"objects\":%d,"
                "\"clients\":%d,\"threads\":%d,\"distinct\":%d,"
-               "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,"
-               "\"max_batch\":%d,\"batch_window_us\":%.1f,",
+               "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,",
                cfg.objects, cfg.clients, cfg.threads, cfg.distinct,
-               cfg.zipf_s, cfg.seconds, cfg.cache_bytes, cfg.max_batch,
-               cfg.batch_window_us);
+               cfg.zipf_s, cfg.seconds, cfg.cache_bytes);
   round_json("unshared", unshared);
   std::fprintf(f, ",");
   round_json("shared", shared);

@@ -18,8 +18,8 @@
 # delta size, and writes BENCH_dynamic.json.
 #
 # The cross-query sharing layers get a fourth pass: shared_workload runs a
-# Zipf-skewed multi-client closed loop with the profile cache + batching
-# off, then on, and writes BENCH_shared.json (aggregate QPS, latency
+# Zipf-skewed multi-client closed loop with the profile cache off, then
+# on, and writes BENCH_shared.json (aggregate QPS, latency
 # percentiles, speedup at the unshared round's p99 SLO, cache hit rate).
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build-bench)

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the service tier: starts a real osd_server on an
+# End-to-end smoke of the service tier: checks that bad or removed flags
+# are refused with a usage error, starts a real osd_server on an
 # ephemeral loopback port, drives it with concurrent osd_cli query
 # clients (a plain query, a mid-flight cancel, a deadline-degraded run),
 # then SIGTERMs the server mid-flight and asserts a clean drain — every
@@ -30,6 +31,28 @@ cleanup() {
   rm -rf "$TMP"
 }
 trap cleanup EXIT
+
+# Flag validation: a bad value or a removed flag must end the process with
+# the usage-error status (2) and a precise message before any work starts
+# — never an abort by signal, never a silently ignored flag.
+expect_usage_error() {
+  local want="$1"; shift
+  local rc=0
+  "$SERVER" "$@" >/dev/null 2>"$TMP/usage.err" || rc=$?
+  [[ "$rc" -eq 2 ]] \
+    || { echo "FAIL: osd_server $* exited $rc, want 2"
+         cat "$TMP/usage.err"; exit 1; }
+  grep -qF -- "$want" "$TMP/usage.err" \
+    || { echo "FAIL: osd_server $* did not say '$want'"
+         cat "$TMP/usage.err"; exit 1; }
+}
+expect_usage_error "--gen-dim must be in [1, 8]" \
+  --gen-data 10 --gen-dim 9 --port 0
+expect_usage_error "unknown flag --max-batch" \
+  --gen-data 10 --max-batch 4 --port 0
+expect_usage_error "unknown flag --batch-window-us" \
+  --gen-data 10 --batch-window-us 200 --port 0
+echo "flag validation OK"
 
 "$SERVER" --gen-data 1000 --gen-dim 2 --port 0 --threads 2 \
   >"$TMP/server.out" 2>"$TMP/server.err" &

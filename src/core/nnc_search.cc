@@ -8,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/interrupt.h"
 #include "common/memory_budget.h"
-#include "core/batch_scope.h"
 #include "core/profile_cache.h"
 #include "core/profile_scratch.h"
 
@@ -106,22 +105,6 @@ NncResult NncSearch::Run(
           : 0,
       result.epoch);
 
-  // Batched-traversal distance memo: when the engine grouped this query
-  // into a multi-query batch it installed a BatchDistContext on this
-  // worker; route every frontier-key MbrMinDist through it so the batch
-  // pays one kernel visit per node instead of one per member. The memo
-  // returns exactly MbrMinDist(box, ctx.mbr(), metric) (see
-  // core/batch_scope.h), so frontier keys are bit-identical either way.
-  BatchDistContext* batch = BatchDistContext::Current();
-  auto node_dist = [&](int32_t node_id, const Mbr& box) {
-    return batch != nullptr ? batch->NodeDist(node_id, box)
-                            : MbrMinDist(box, ctx.mbr(), options_.metric);
-  };
-  auto object_dist = [&](int32_t object_index, const Mbr& box) {
-    return batch != nullptr ? batch->ObjectDist(object_index, box)
-                            : MbrMinDist(box, ctx.mbr(), options_.metric);
-  };
-
   struct Member {
     int object_index;
     std::unique_ptr<ObjectProfile> profile;
@@ -140,8 +123,9 @@ NncResult NncSearch::Run(
   // an empty exact result.
   if (!tree.empty()) {
     run_mem.Add(sizeof(HeapItem));
-    heap.push({node_dist(tree.root(), tree.nodes()[tree.root()].box), false,
-               tree.root()});
+    heap.push({MbrMinDist(tree.nodes()[tree.root()].box, ctx.mbr(),
+                          options_.metric),
+               false, tree.root()});
   }
   if (snapshot_ != nullptr) {
     // Delta objects are not in the base tree: seed each one directly as an
@@ -157,7 +141,9 @@ NncResult NncSearch::Run(
     run_mem.Add(pushes * static_cast<long>(sizeof(HeapItem)));
     for (int i = nbase; i < ntotal; ++i) {
       if (i == options_.exclude_id) continue;
-      heap.push({object_dist(i, snapshot_->object(i).mbr()), true, i});
+      heap.push({MbrMinDist(snapshot_->object(i).mbr(), ctx.mbr(),
+                            options_.metric),
+                 true, i});
     }
   }
 
@@ -230,11 +216,14 @@ NncResult NncSearch::Run(
               const RTree::Entry& entry = tree.entries()[e];
               if (entry.id == options_.exclude_id) continue;
               if (is_deleted(entry.id)) continue;  // tombstoned base slot
-              heap.push({object_dist(entry.id, entry.box), true, entry.id});
+              heap.push({MbrMinDist(entry.box, ctx.mbr(), options_.metric),
+                         true, entry.id});
             }
           } else {
             for (int32_t c : node.children) {
-              heap.push({node_dist(c, tree.nodes()[c].box), false, c});
+              heap.push({MbrMinDist(tree.nodes()[c].box, ctx.mbr(),
+                                    options_.metric),
+                         false, c});
             }
           }
           continue;

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <random>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "core/batch_scope.h"
 
 namespace osd {
 
@@ -57,26 +55,6 @@ std::string DescribeFailure(const std::exception& e) {
 double JitterDraw() {
   thread_local std::mt19937_64 engine{std::random_device{}()};
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
-}
-
-/// Euclidean diagonal of a box; 0 for an empty one. Scale reference for
-/// the batch proximity gate.
-double MbrDiagonal(const Mbr& box) {
-  if (!box.valid()) return 0.0;
-  double sum = 0.0;
-  for (int i = 0; i < box.dim(); ++i) {
-    const double e = box.hi()[i] - box.lo()[i];
-    sum += e * e;
-  }
-  return std::sqrt(sum);
-}
-
-/// The operational kill switch for both work-sharing layers: set
-/// OSD_SHARED_CACHE=0 to force profile_cache_bytes=0 and max_batch=1 no
-/// matter what the options say. Any other value (or unset) changes nothing.
-bool SharedCacheDisabledByEnv() {
-  const char* v = std::getenv("OSD_SHARED_CACHE");
-  return v != nullptr && v[0] == '0' && v[1] == '\0';
 }
 
 }  // namespace
@@ -164,10 +142,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
   hot_.mem_peak = &registry_.GetGauge(
       "osd_mem_engine_peak_bytes",
       "Peak engine-wide charged query memory (bytes)");
-  if (SharedCacheDisabledByEnv()) {
-    options_.profile_cache_bytes = 0;
-    options_.max_batch = 1;
-  }
   if (options_.profile_cache_bytes > 0) {
     profile_cache_ = std::make_unique<ProfileCache>(
         options_.profile_cache_bytes, &mem_budget_);
@@ -184,9 +158,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
         "osd_profile_cache_bytes", "Resident profile-cache bytes");
     profile_cache_->BindMetrics(hot_.cache_hits, hot_.cache_misses,
                                 hot_.cache_evictions, hot_.cache_bytes);
-  }
-  if (options_.max_batch > 1) {
-    batcher_thread_ = std::thread([this] { BatcherLoop(); });
   }
   if (options_.watchdog) {
     watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
@@ -215,12 +186,6 @@ long QueryEngine::AdmissionHighWaterBytes() const {
 
 QueryEngine::~QueryEngine() {
   Drain();  // stops the fold thread first, then waits out the pool
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_stop_ = true;
-  }
-  batch_cv_.notify_all();
-  if (batcher_thread_.joinable()) batcher_thread_.join();
   {
     std::lock_guard<std::mutex> lock(watch_mu_);
     watch_stop_ = true;
@@ -364,10 +329,6 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
   // so rejected submissions never hold a pin. The worker releases it inside
   // Execute (not via closure destruction, which can outlive WaitIdle).
   spec.snapshot = versioned_->Acquire();
-  if (options_.max_batch > 1) {
-    EnqueueBatched(ticket, std::move(spec));
-    return ticket;
-  }
   auto task = [this, ticket, spec = std::move(spec)]() mutable {
     Execute(ticket, spec);
   };
@@ -397,165 +358,6 @@ std::vector<std::shared_ptr<QueryTicket>> QueryEngine::SubmitBatch(
   return tickets;
 }
 
-bool QueryEngine::BatchCompatible(const PendingBatch& batch,
-                                  const QuerySpec& spec, const Mbr& mbr,
-                                  bool have_mbr) const {
-  // Members must share the exact traversal shape: same pinned epoch (one
-  // snapshot's node ids mean nothing in another's), same operator family
-  // and filter stack (so the shared distance memo sees identical visit
-  // patterns), same k and degraded mode (termination semantics).
-  if (batch.epoch != spec.snapshot.epoch()) return false;
-  if (batch.op != spec.options.op) return false;
-  if (batch.metric != spec.options.metric) return false;
-  if (batch.k != spec.options.k) return false;
-  if (batch.degraded != spec.options.degraded_superset) return false;
-  const FilterConfig& f = spec.options.filters;
-  if (batch.filters.level_by_level != f.level_by_level ||
-      batch.filters.stat_pruning != f.stat_pruning ||
-      batch.filters.geometric != f.geometric ||
-      batch.filters.cover_rules != f.cover_rules) {
-    return false;
-  }
-  // Members whose query MBR could not be resolved (dead id) run alone.
-  if (!have_mbr || !batch.bound.valid()) return false;
-  if (options_.batch_mbr_slack > 0) {
-    const RTree& tree = spec.snapshot.global_tree();
-    if (!tree.nodes().empty()) {
-      const double root_diag =
-          MbrDiagonal(tree.nodes()[tree.root()].box);
-      Mbr joint = batch.bound;
-      joint.Expand(mbr);
-      if (root_diag > 0 &&
-          MbrDiagonal(joint) > options_.batch_mbr_slack * root_diag) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void QueryEngine::EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
-                                 QuerySpec spec) {
-  // Resolve the member's query MBR now, against its own pinned snapshot:
-  // it feeds the proximity gate and becomes the member's slot in the
-  // shared distance memo. An id with no live object stays unresolved and
-  // dispatches as a singleton — Execute reports the precise error.
-  Mbr mbr;
-  bool have_mbr = false;
-  if (spec.query_object_id >= 0) {
-    const int idx = spec.snapshot.empty()
-                        ? -1
-                        : spec.snapshot.IndexOf(spec.query_object_id);
-    if (idx >= 0) {
-      mbr = spec.snapshot.object(idx).mbr();
-      have_mbr = mbr.valid();
-    }
-  } else {
-    mbr = spec.query.mbr();
-    have_mbr = mbr.valid();
-  }
-  // An enqueue can close up to two batches at once: an open batch the new
-  // member is incompatible with, and the member's own batch when it can
-  // never take company (no resolvable MBR) or instantly reaches max_batch.
-  std::unique_ptr<PendingBatch> closed, own;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (pending_ != nullptr &&
-        !BatchCompatible(*pending_, spec, mbr, have_mbr)) {
-      closed = std::move(pending_);
-    }
-    if (pending_ == nullptr) {
-      pending_ = std::make_unique<PendingBatch>();
-      pending_->epoch = spec.snapshot.epoch();
-      pending_->op = spec.options.op;
-      pending_->metric = spec.options.metric;
-      pending_->k = spec.options.k;
-      pending_->filters = spec.options.filters;
-      pending_->degraded = spec.options.degraded_superset;
-      pending_->opened = std::chrono::steady_clock::now();
-    }
-    if (have_mbr) pending_->bound.Expand(mbr);
-    pending_->items.push_back(BatchItem{ticket, std::move(spec), mbr, have_mbr});
-    if (static_cast<int>(pending_->items.size()) >= options_.max_batch ||
-        !have_mbr) {
-      own = std::move(pending_);
-    }
-  }
-  batch_cv_.notify_all();  // wake the batcher to (re)arm the window timer
-  DispatchBatch(std::move(closed));
-  DispatchBatch(std::move(own));
-}
-
-void QueryEngine::DispatchBatch(std::unique_ptr<PendingBatch> batch) {
-  if (batch == nullptr || batch->items.empty()) return;
-  // Keep the batch reachable after a refused submission: the task lambda
-  // and the failure path below share ownership.
-  std::shared_ptr<PendingBatch> shared{batch.release()};
-  auto task = [this, shared]() { ExecuteBatch(*shared); };
-  const bool accepted = options_.shed_on_overload
-                            ? pool_.TrySubmit(std::move(task))
-                            : pool_.Submit(std::move(task));
-  if (!accepted) {
-    const bool shed = options_.shed_on_overload;
-    for (BatchItem& item : shared->items) {
-      Complete(item.ticket, item.spec.options.op,
-               shed ? QueryStatus::kRejected : QueryStatus::kError, {},
-               shed ? "submission queue saturated (overload shedding)"
-                    : "engine is shutting down",
-               0);
-      // Release the member's epoch pin promptly (Complete already ran its
-      // terminal hook; the pin must not wait for the last shared_ptr).
-      item.spec.snapshot = VersionedDataset::Snapshot();
-    }
-  }
-}
-
-void QueryEngine::ExecuteBatch(PendingBatch& batch) {
-  if (batch.items.size() == 1) {
-    Execute(batch.items[0].ticket, batch.items[0].spec);
-    return;
-  }
-  // One shared MBR-distance memo for the whole batch, charged against the
-  // ENGINE budget (never a member's per-query scope — members' budget
-  // arithmetic must be bit-identical to solo execution). Members run
-  // sequentially on this worker, each under its own scope/deadline/trace.
-  BatchDistContext dist_memo(batch.metric, &mem_budget_);
-  for (const BatchItem& item : batch.items) {
-    dist_memo.AddSlot(item.mbr);
-  }
-  for (size_t i = 0; i < batch.items.size(); ++i) {
-    dist_memo.SetActiveSlot(static_cast<int>(i));
-    Execute(batch.items[i].ticket, batch.items[i].spec);
-  }
-}
-
-void QueryEngine::BatcherLoop() {
-  const auto window =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              std::max(options_.batch_window_us, 0.0) / 1e6));
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  while (!batch_stop_) {
-    if (pending_ == nullptr) {
-      batch_cv_.wait(lock);
-      continue;
-    }
-    const auto flush_at = pending_->opened + window;
-    if (std::chrono::steady_clock::now() >= flush_at) {
-      auto batch = std::move(pending_);
-      lock.unlock();
-      DispatchBatch(std::move(batch));
-      lock.lock();
-      continue;
-    }
-    batch_cv_.wait_until(lock, flush_at);
-  }
-  // Orphaned members would hang Drain: flush whatever is still open.
-  auto batch = std::move(pending_);
-  lock.unlock();
-  DispatchBatch(std::move(batch));
-}
-
 void QueryEngine::Drain() {
   // Stop the background fold thread BEFORE waiting out the pool: a fold
   // kicked by the last in-flight mutation could otherwise still be
@@ -565,19 +367,7 @@ void QueryEngine::Drain() {
   // no worker holds an epoch and no fold is in flight. StartFoldThread can
   // re-arm folding afterwards if the engine keeps serving.
   versioned_->StopFoldThread();
-  // Flush any open batch so its members complete; loop because a Submit
-  // racing this drain can open a fresh batch while the pool empties.
-  while (true) {
-    std::unique_ptr<PendingBatch> batch;
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch = std::move(pending_);
-    }
-    DispatchBatch(std::move(batch));
-    pool_.WaitIdle();
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (pending_ == nullptr) break;
-  }
+  pool_.WaitIdle();
   // Quiesced also means the shared cache owes the engine budget nothing:
   // every resident entry releases its charge here, so callers sequencing
   // Drain → budget checks (tests, the chaos harness) see zero bytes.

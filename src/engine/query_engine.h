@@ -120,33 +120,19 @@ struct EngineOptions {
   double fold_interval_s = 0.0;
   int fold_delta_threshold = 0;
 
-  /// Cross-query work sharing (see core/profile_cache.h and DESIGN.md §15).
-  /// Both layers are bit-identical to the unshared path by construction —
-  /// candidate sets, filter counters, and termination reasons do not change
-  /// with sharing on — and both are force-disabled at construction when the
-  /// environment variable OSD_SHARED_CACHE is set to "0" (operational
-  /// rollback lever; also how A/B tests pin the baseline).
-  ///
-  /// Capacity of the engine-wide profile artifact cache, bytes; <= 0
-  /// disables it. Resident entries are charged against the engine memory
-  /// budget (engine_mem_bytes) and evicted LRU under pressure; every byte
-  /// drains on Drain().
+  /// Cross-query work sharing (see core/profile_cache.h and DESIGN.md §15):
+  /// capacity of the engine-wide profile artifact cache, bytes; <= 0
+  /// disables it. The cache is bit-identical to the unshared path by
+  /// construction — candidate sets, filter counters, and termination
+  /// reasons do not change with it on. Resident entries are charged against
+  /// the engine memory budget (engine_mem_bytes) and evicted LRU under
+  /// pressure; every byte drains on Drain().
   long profile_cache_bytes = 0;
-  /// Multi-query batched traversal: up to max_batch compatible queued
-  /// queries (same pinned epoch, operator, metric, k, filter config, and
-  /// degraded mode, with nearby query MBRs) share one worker pass that
-  /// memoizes MBR min-distance kernel visits across the members. <= 1
-  /// disables batching. Per-query deadlines, budgets, cancellation, and
-  /// traces still apply individually to each member.
-  int max_batch = 1;
-  /// How long an open batch waits for more compatible members before it is
-  /// dispatched anyway (latency bound on batching), microseconds.
-  double batch_window_us = 200.0;
-  /// Proximity gate: a query joins an open batch only while the diagonal of
-  /// the union of member MBRs stays within this fraction of the root MBR's
-  /// diagonal (distant queries share no traversal locality and would only
-  /// bloat the memo). <= 0 disables the gate.
-  double batch_mbr_slack = 0.5;
+  /// Queries per worker pass: always 1, since every query runs alone
+  /// (DESIGN.md §15 explains why queries are not batched). Not settable;
+  /// it exists for readers that report it, such as perfbench's result
+  /// metadata.
+  static constexpr int max_batch = 1;
 };
 
 /// Per-query retry policy for transient failures. Only exceptions derived
@@ -314,51 +300,6 @@ class QueryEngine {
   /// off (no engine budget configured).
   long AdmissionHighWaterBytes() const;
 
-  /// One member of a forming multi-query batch: its ticket, its fully
-  /// prepared spec (snapshot already pinned), and the query MBR resolved at
-  /// enqueue time (invalid when the member names an id not live at the
-  /// pinned epoch — such members always dispatch as singletons and fail
-  /// with the usual precise kError inside Execute).
-  struct BatchItem {
-    std::shared_ptr<QueryTicket> ticket;
-    QuerySpec spec;
-    Mbr mbr;
-    bool have_mbr = false;
-  };
-
-  /// A batch being formed under batch_mu_. Compatibility is frozen from the
-  /// first member; `bound` is the running union of member MBRs for the
-  /// proximity gate.
-  struct PendingBatch {
-    uint64_t epoch = 0;
-    Operator op = Operator::kPSd;
-    Metric metric = Metric::kL2;
-    int k = 1;
-    FilterConfig filters;
-    bool degraded = false;
-    Mbr bound;
-    std::chrono::steady_clock::time_point opened{};
-    std::vector<BatchItem> items;
-  };
-
-  /// True iff `spec` may join `batch` (identical traversal shape + the MBR
-  /// proximity gate).
-  bool BatchCompatible(const PendingBatch& batch, const QuerySpec& spec,
-                       const Mbr& mbr, bool have_mbr) const;
-  /// Adds the ticket to the forming batch, dispatching any batch this
-  /// closes (incompatible open batch, or the forming one reaching
-  /// max_batch). Called from Submit after the snapshot is pinned.
-  void EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
-                      QuerySpec spec);
-  /// Hands a closed batch to the pool (honouring shed_on_overload); on
-  /// refusal completes every member as kRejected/kError.
-  void DispatchBatch(std::unique_ptr<PendingBatch> batch);
-  /// Worker-side: installs a shared BatchDistContext and runs the members
-  /// in order, each under its own budget scope / deadline / trace.
-  void ExecuteBatch(PendingBatch& batch);
-  /// Timer thread that flushes an open batch when its window expires.
-  void BatcherLoop();
-
   /// Counts one memory-budget breach (stats + hot metric).
   void NoteMemBreach();
 
@@ -372,17 +313,9 @@ class QueryEngine {
   ThreadPool pool_;
 
   /// Cross-query profile cache; null when EngineOptions::profile_cache_bytes
-  /// <= 0 (or OSD_SHARED_CACHE=0). Declared after mem_budget_ — resident
-  /// entries are charged against it — and before the batching state.
+  /// <= 0. Declared after mem_budget_: resident entries are charged against
+  /// it.
   std::unique_ptr<ProfileCache> profile_cache_;
-
-  /// Batch-formation state; the batcher thread exists only when
-  /// options_.max_batch > 1.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::unique_ptr<PendingBatch> pending_;
-  bool batch_stop_ = false;
-  std::thread batcher_thread_;
 
   /// Lock-free hot-path metrics (sharded by thread) plus the slow-query
   /// log. Pointers into `registry_` are resolved once at construction so

@@ -733,9 +733,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
         c->inflight.erase(id);
       }
     }
-    tenant->inflight.fetch_sub(1, std::memory_order_relaxed);
-    tenant->inflight_gauge->Set(static_cast<double>(
-        tenant->inflight.load(std::memory_order_relaxed)));
+    tenant->AddInflight(-1);
     queries_completed_.fetch_add(1, std::memory_order_relaxed);
     Wake();
     // Last: the loop's drain exit gate reads this, and engine_->Drain()
@@ -750,9 +748,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->inflight[id] = Pending{};
   }
-  tenant->inflight.fetch_add(1, std::memory_order_relaxed);
-  tenant->inflight_gauge->Set(static_cast<double>(
-      tenant->inflight.load(std::memory_order_relaxed)));
+  tenant->AddInflight(1);
   tenant->queries->Increment();
   inflight_total_.fetch_add(1, std::memory_order_relaxed);
   queries_submitted_.fetch_add(1, std::memory_order_relaxed);

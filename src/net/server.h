@@ -177,10 +177,22 @@ class OsdServer {
   struct TenantState {
     TenantPolicy policy;
     std::atomic<int> inflight{0};
+    std::mutex inflight_mu;  ///< orders inflight updates with gauge writes
     obs::Counter* queries = nullptr;
     obs::Counter* rejected = nullptr;
     obs::Counter* candidates_streamed = nullptr;
     obs::Gauge* inflight_gauge = nullptr;
+
+    /// Moves the in-flight count by `delta` and publishes the result to
+    /// the gauge under one lock. Unlocked, a thread holding an older count
+    /// could overwrite a newer one and leave the gauge nonzero with
+    /// nothing in flight.
+    void AddInflight(int delta) {
+      std::lock_guard<std::mutex> lock(inflight_mu);
+      const int now =
+          inflight.fetch_add(delta, std::memory_order_relaxed) + delta;
+      inflight_gauge->Set(static_cast<double>(now));
+    }
   };
 
   struct Pending {

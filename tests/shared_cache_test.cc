@@ -1,18 +1,19 @@
-// Cross-query work sharing: the engine-wide profile cache and the
-// multi-query batched traversal (core/profile_cache.h, core/batch_scope.h,
-// engine wiring in engine/query_engine.cc).
+// Cross-query work sharing: the engine-wide profile cache
+// (core/profile_cache.h, engine wiring in engine/query_engine.cc).
 //
-// The load-bearing property is BIT-IDENTITY: with the cache and batching
-// on, every query's candidate set, every FilterStats counter, and the
-// termination reason must equal the unshared run exactly — sharing may
-// only change wall-clock, never the answer or the instrumentation. The
-// A/B tests here assert that end-to-end for every operator; the directed
-// tests pin the epoch-invalidation and memory-governance contracts the
-// chaos soak then hammers concurrently.
+// The load-bearing property is BIT-IDENTITY: with the cache on, every
+// query's candidate set, every FilterStats counter, and the termination
+// reason must equal the cache-less run exactly — sharing may only change
+// wall-clock, never the answer or the instrumentation. The A/B tests here
+// assert that end-to-end for every operator, alone and with operators
+// mixed over one cache (entries are keyed without the operator); the
+// directed tests pin the epoch-invalidation and memory-governance
+// contracts the chaos soak then hammers concurrently.
 
-#include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,7 +211,7 @@ class SharedVsUnsharedTest : public ::testing::TestWithParam<Operator> {};
 
 // The acceptance criterion of the sharing layers: every operator, every
 // query — candidate sets, all eleven filter counters, and the termination
-// reason are bit-identical with cache + batching on vs off.
+// reason are bit-identical with the cache on vs off.
 TEST_P(SharedVsUnsharedTest, BitIdenticalResultsAndCounters) {
   EngineOptions unshared;
   unshared.num_threads = 2;
@@ -218,8 +219,6 @@ TEST_P(SharedVsUnsharedTest, BitIdenticalResultsAndCounters) {
   EngineOptions shared;
   shared.num_threads = 2;
   shared.profile_cache_bytes = 64 << 20;
-  shared.max_batch = 4;
-  shared.batch_window_us = 2000.0;
 
   const auto baseline = RunWorkload(unshared, GetParam());
   const auto cached = RunWorkload(shared, GetParam());
@@ -344,65 +343,51 @@ TEST(SharedCacheEngineTest, DrainReleasesEveryCachedByte) {
   EXPECT_EQ(engine.memory_budget().current_bytes(), 0);
 }
 
-// The operational kill switch: OSD_SHARED_CACHE=0 force-disables both
-// layers no matter what the options request.
-TEST(SharedCacheEngineTest, EnvKillSwitchDisablesSharing) {
-  ::setenv("OSD_SHARED_CACHE", "0", 1);
-  EngineOptions options;
-  options.num_threads = 1;
-  options.profile_cache_bytes = 64 << 20;
-  options.max_batch = 8;
-  QueryEngine engine(SmallDataset(100), options);
-  ::unsetenv("OSD_SHARED_CACHE");
-  const auto workload = SmallWorkload(engine.dataset(), 1);
-  QuerySpec spec;
-  spec.query = workload[0].query;
-  spec.options.op = Operator::kPSd;
-  spec.options.exclude_id = workload[0].seeded_from;
-  EXPECT_EQ(engine.Submit(std::move(spec))->Wait(), QueryStatus::kOk);
-  engine.Drain();
-  const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.profile_cache_cap_bytes, 0);
-  EXPECT_EQ(stats.profile_cache_hits + stats.profile_cache_misses, 0);
-}
-
-// Mixed-shape submissions must still batch safely: incompatible members
-// (different operators) form separate batches and all complete correctly.
-TEST(SharedCacheEngineTest, IncompatibleQueriesSplitBatchesCorrectly) {
-  EngineOptions options;
-  options.num_threads = 2;
-  options.max_batch = 4;
-  options.batch_window_us = 2000.0;
-  QueryEngine engine(SmallDataset(), options);
-  const auto workload = SmallWorkload(engine.dataset(), 8);
+// Cache entries are keyed by object, query signature, and epoch — not by
+// operator — so concurrent queries under different operators share one
+// another's profiles. Every query runs under every operator at once over
+// one cache, and each answer must equal a cache-less solo run.
+TEST(SharedCacheEngineTest, MixedOperatorsShareCacheCorrectly) {
   static constexpr Operator kOps[] = {Operator::kSSd, Operator::kPSd,
                                       Operator::kFSd, Operator::kFPlusSd};
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  std::vector<Operator> ops;
-  for (size_t i = 0; i < workload.size(); ++i) {
+  EngineOptions options;
+  options.num_threads = 2;
+  options.profile_cache_bytes = 64 << 20;
+  QueryEngine engine(SmallDataset(), options);
+  const auto workload = SmallWorkload(engine.dataset(), 4);
+  auto make_spec = [&](size_t i, Operator op) {
     QuerySpec spec;
     spec.query = workload[i].query;
-    spec.options.op = kOps[i % 4];
+    spec.options.op = op;
     spec.options.exclude_id = workload[i].seeded_from;
-    ops.push_back(spec.options.op);
-    tickets.push_back(engine.Submit(std::move(spec)));
+    return spec;
+  };
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    for (Operator op : kOps) {
+      tickets.push_back(engine.Submit(make_spec(i, op)));
+    }
   }
   engine.Drain();
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    ASSERT_EQ(tickets[i]->Wait(), QueryStatus::kOk) << tickets[i]->error();
-    // Cross-check against a solo (unbatched) engine run of the same query.
-    EngineOptions solo_options;
-    solo_options.num_threads = 1;
-    QueryEngine solo(SmallDataset(), solo_options);
-    QuerySpec spec;
-    spec.query = workload[i].query;
-    spec.options.op = ops[i];
-    spec.options.exclude_id = workload[i].seeded_from;
-    auto ticket = solo.Submit(std::move(spec));
-    ASSERT_EQ(ticket->Wait(), QueryStatus::kOk);
-    EXPECT_EQ(tickets[i]->result().candidates, ticket->result().candidates);
-    ExpectSameStats(tickets[i]->result().stats, ticket->result().stats);
+  const EngineStats stats = engine.Snapshot();
+  EXPECT_GT(stats.profile_cache_hits, 0);
+  EXPECT_EQ(stats.profile_cache_stale_serves_averted, 0);
+
+  EngineOptions solo_options;
+  solo_options.num_threads = 1;
+  QueryEngine solo(SmallDataset(), solo_options);
+  for (size_t i = 0; i < workload.size(); ++i) {
+    for (size_t o = 0; o < std::size(kOps); ++o) {
+      const QueryTicket& shared = *tickets[i * std::size(kOps) + o];
+      SCOPED_TRACE("query " + std::to_string(i) + " op " +
+                   OperatorName(kOps[o]));
+      ASSERT_EQ(shared.status(), QueryStatus::kOk) << shared.error();
+      auto expected = solo.Submit(make_spec(i, kOps[o]));
+      ASSERT_EQ(expected->Wait(), QueryStatus::kOk) << expected->error();
+      EXPECT_EQ(shared.result().candidates, expected->result().candidates);
+      EXPECT_EQ(shared.result().termination, expected->result().termination);
+      ExpectSameStats(shared.result().stats, expected->result().stats);
+    }
   }
 }
 

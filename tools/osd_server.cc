@@ -31,15 +31,9 @@
 //                                    poisoning + respawning stuck workers
 //   [--profile-cache-bytes SIZE]     cross-query profile cache capacity
 //                                    (epoch-versioned, LRU, charged to the
-//                                    engine memory budget; 0/absent = off)
-//   [--max-batch N]                  group up to N compatible queued
-//                                    queries into one shared traversal
-//                                    pass (1/absent = off)
-//   [--batch-window-us X]            how long an open batch waits for more
-//                                    members before dispatching (default
-//                                    200). Results are bit-identical with
-//                                    sharing on or off; OSD_SHARED_CACHE=0
-//                                    in the environment force-disables both.
+//                                    engine memory budget; 0/absent = off).
+//                                    Results are bit-identical with the
+//                                    cache on or off.
 //   [--fold-interval-s X]            background fold: merge the mutation
 //                                    delta into a fresh base every X s
 //   [--fold-delta N]                 background fold: merge once the delta
@@ -95,6 +89,7 @@
 #include "common/failpoint.h"
 #include "datagen/generators.h"
 #include "engine/query_engine.h"
+#include "geom/point.h"
 #include "io/dataset_io.h"
 #include "io/durable_store.h"
 #include "net/server.h"
@@ -127,8 +122,6 @@ struct Args {
   double write_stall_timeout_s = 0.0;
   double watchdog_ms = 0.0;
   long profile_cache_bytes = 0;
-  int max_batch = 1;
-  double batch_window_us = 200.0;
   double fold_interval_s = 0.0;
   int fold_delta = 1024;  // default ON: any tenant may write by default
   std::string wal_dir;
@@ -232,7 +225,10 @@ Args Parse(int argc, char** argv) {
       if (args.gen_data < 1) Die("--gen-data must be >= 1");
     } else if (flag == "--gen-dim") {
       args.gen_dim = std::atoi(need_value(i).c_str());
-      if (args.gen_dim < 1) Die("--gen-dim must be >= 1");
+      if (args.gen_dim < 1 || args.gen_dim > Point::kMaxDim) {
+        Die("--gen-dim must be in [1, " + std::to_string(Point::kMaxDim) +
+            "]");
+      }
     } else if (flag == "--gen-instances") {
       args.gen_instances = std::atoi(need_value(i).c_str());
       if (args.gen_instances < 1) Die("--gen-instances must be >= 1");
@@ -286,12 +282,6 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--profile-cache-bytes") {
       args.profile_cache_bytes =
           ParseByteSize(need_value(i), "--profile-cache-bytes");
-    } else if (flag == "--max-batch") {
-      args.max_batch = std::atoi(need_value(i).c_str());
-      if (args.max_batch < 1) Die("--max-batch must be >= 1");
-    } else if (flag == "--batch-window-us") {
-      args.batch_window_us = std::atof(need_value(i).c_str());
-      if (args.batch_window_us <= 0) Die("--batch-window-us must be > 0");
     } else if (flag == "--fold-interval-s") {
       args.fold_interval_s = std::atof(need_value(i).c_str());
       if (args.fold_interval_s <= 0) Die("--fold-interval-s must be > 0");
@@ -426,8 +416,6 @@ int main(int argc, char** argv) {
     engine_options.watchdog_no_deadline_ms = args.watchdog_ms;
   }
   engine_options.profile_cache_bytes = args.profile_cache_bytes;
-  engine_options.max_batch = args.max_batch;
-  engine_options.batch_window_us = args.batch_window_us;
   engine_options.fold_interval_s = args.fold_interval_s;
   // Checkpoints ride folds, so the checkpoint interval is a fold interval
   // that may only tighten an explicitly configured one.
