@@ -14,16 +14,19 @@
 //   shared   — profile cache on at --cache-bytes
 // C client threads each loop {draw a query by Zipf rank over K distinct
 // queries, Submit, Wait}, so offered load self-regulates and latency
-// percentiles are honest. Both rounds get one untimed warmup pass over
-// all K queries.
+// percentiles are honest. Every run gets one untimed warmup pass over all
+// K queries. Each round runs kRunsPerRound times, alternating unshared and
+// shared so slow drift of the machine hits both equally.
 //
-// Reported per round: aggregate q/s, p50/p95/p99 ms, and the engine's own
+// Reported per run: aggregate q/s, p50/p95/p99 ms, and the engine's own
 // executed-based QPS (sheds excluded); for the shared round also cache
-// hit rate, evictions, and resident bytes. The JSON records the headline
-// `speedup` (shared q/s / unshared q/s) and `slo_ok` — whether the shared
-// round held the p99 SLO, fixed at the unshared round's p99 (work sharing
-// must buy throughput without giving back tail latency). Exit is non-zero
-// if any query failed in either round.
+// hit rate, evictions, and resident bytes. Each round reports the median
+// of every figure over its runs and lists the runs. The JSON records the
+// headline `speedup` (median shared q/s / median unshared q/s) and
+// `slo_ok` — whether the shared round held the p99 SLO, fixed at the
+// unshared round's median p99 (work sharing must buy throughput without
+// giving back tail latency). Exit is non-zero if any query failed in any
+// run.
 
 #include <algorithm>
 #include <atomic>
@@ -206,6 +209,46 @@ RoundResult RunRound(const Dataset& dataset,
   return result;
 }
 
+/// Runs per round. Odd, so the median is one of the runs.
+constexpr int kRunsPerRound = 3;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// The round's median of one figure over its runs.
+double MedianOf(const std::vector<RoundResult>& runs,
+                double (*figure)(const RoundResult&)) {
+  std::vector<double> values;
+  for (const RoundResult& r : runs) values.push_back(figure(r));
+  return Median(values);
+}
+
+double Qps(const RoundResult& r) { return r.qps; }
+double P50(const RoundResult& r) { return r.p50; }
+double P95(const RoundResult& r) { return r.p95; }
+double P99(const RoundResult& r) { return r.p99; }
+double EngineQps(const RoundResult& r) { return r.engine.qps; }
+
+double HitRate(const RoundResult& r) {
+  const long lookups = r.engine.profile_cache_hits +
+                       r.engine.profile_cache_misses;
+  return lookups > 0
+             ? static_cast<double>(r.engine.profile_cache_hits) / lookups
+             : 0.0;
+}
+
+void PrintRun(const char* name, int run, const RoundResult& r) {
+  std::printf("  %-8s #%d: %8.1f q/s  p50=%.2f p95=%.2f p99=%.2f ms", name,
+              run + 1, r.qps, r.p50, r.p95, r.p99);
+  if (r.engine.profile_cache_cap_bytes > 0) {
+    std::printf("  hit_rate=%.3f evictions=%ld", HitRate(r),
+                r.engine.profile_cache_evictions);
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,65 +268,85 @@ int main(int argc, char** argv) {
       "(zipf s=%.2f), %.1fs rounds\n",
       cfg.objects, cfg.clients, cfg.distinct, cfg.zipf_s, cfg.seconds);
 
-  const RoundResult unshared =
-      RunRound(dataset, workload, zipf_cdf, cfg, /*shared=*/false);
-  std::printf("  unshared: %8.1f q/s  p50=%.2f p95=%.2f p99=%.2f ms\n",
-              unshared.qps, unshared.p50, unshared.p95, unshared.p99);
+  std::vector<RoundResult> unshared, shared;
+  long errors = 0;
+  for (int run = 0; run < kRunsPerRound; ++run) {
+    unshared.push_back(
+        RunRound(dataset, workload, zipf_cdf, cfg, /*shared=*/false));
+    PrintRun("unshared", run, unshared.back());
+    shared.push_back(
+        RunRound(dataset, workload, zipf_cdf, cfg, /*shared=*/true));
+    PrintRun("shared", run, shared.back());
+    errors += unshared.back().errors + shared.back().errors;
+  }
 
-  const RoundResult shared =
-      RunRound(dataset, workload, zipf_cdf, cfg, /*shared=*/true);
-  const EngineStats& es = shared.engine;
-  const long lookups = es.profile_cache_hits + es.profile_cache_misses;
-  const double hit_rate =
-      lookups > 0 ? static_cast<double>(es.profile_cache_hits) / lookups
-                  : 0.0;
-  std::printf(
-      "  shared:   %8.1f q/s  p50=%.2f p95=%.2f p99=%.2f ms  "
-      "hit_rate=%.3f evictions=%ld\n",
-      shared.qps, shared.p50, shared.p95, shared.p99, hit_rate,
-      es.profile_cache_evictions);
-
-  // The SLO is the unshared round's own p99: sharing must not trade tail
-  // latency for throughput.
-  const double slo_p99_ms = unshared.p99;
-  const double speedup =
-      unshared.qps > 0.0 ? shared.qps / unshared.qps : 0.0;
-  const bool slo_ok = shared.p99 <= slo_p99_ms;
-  std::printf("  speedup=%.2fx  slo(p99<=%.2fms)=%s\n", speedup, slo_p99_ms,
-              slo_ok ? "met" : "MISSED");
+  // The SLO is the unshared round's own median p99: sharing must not trade
+  // tail latency for throughput.
+  const double unshared_qps = MedianOf(unshared, Qps);
+  const double shared_qps = MedianOf(shared, Qps);
+  const double slo_p99_ms = MedianOf(unshared, P99);
+  const double speedup = unshared_qps > 0.0 ? shared_qps / unshared_qps : 0.0;
+  const bool slo_ok = MedianOf(shared, P99) <= slo_p99_ms;
+  std::printf("  median speedup=%.2fx  slo(p99<=%.2fms)=%s\n", speedup,
+              slo_p99_ms, slo_ok ? "met" : "MISSED");
 
   std::FILE* f = std::fopen(cfg.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", cfg.out.c_str());
     return 1;
   }
-  auto round_json = [&](const char* name, const RoundResult& r) {
+  auto run_json = [&](const RoundResult& r) {
+    std::fprintf(f,
+                 "{\"qps\":%.2f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
+                 "\"p99_ms\":%.3f,\"completed\":%ld,\"errors\":%ld,"
+                 "\"engine_executed\":%ld,\"engine_qps\":%.2f",
+                 r.qps, r.p50, r.p95, r.p99, r.completed, r.errors,
+                 r.engine.executed, r.engine.qps);
+    const EngineStats& es = r.engine;
+    if (es.profile_cache_cap_bytes > 0) {
+      std::fprintf(f,
+                   ",\"cache\":{\"hits\":%ld,\"misses\":%ld,"
+                   "\"hit_rate\":%.4f,\"evictions\":%ld,"
+                   "\"stale_evictions\":%ld,\"stale_serves_averted\":%ld,"
+                   "\"resident_bytes\":%ld}",
+                   es.profile_cache_hits, es.profile_cache_misses, HitRate(r),
+                   es.profile_cache_evictions,
+                   es.profile_cache_stale_evictions,
+                   es.profile_cache_stale_serves_averted,
+                   es.profile_cache_bytes);
+    }
+    std::fprintf(f, "}");
+  };
+  auto round_json = [&](const char* name,
+                        const std::vector<RoundResult>& runs) {
     std::fprintf(f,
                  "\"%s\":{\"qps\":%.2f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
-                 "\"p99_ms\":%.3f,\"completed\":%ld,\"errors\":%ld,"
-                 "\"engine_executed\":%ld,\"engine_qps\":%.2f}",
-                 name, r.qps, r.p50, r.p95, r.p99, r.completed, r.errors,
-                 r.engine.executed, r.engine.qps);
+                 "\"p99_ms\":%.3f,\"engine_qps\":%.2f,\"runs\":[",
+                 name, MedianOf(runs, Qps), MedianOf(runs, P50),
+                 MedianOf(runs, P95), MedianOf(runs, P99),
+                 MedianOf(runs, EngineQps));
+    for (size_t i = 0; i < runs.size(); ++i) {
+      if (i > 0) std::fprintf(f, ",");
+      run_json(runs[i]);
+    }
+    std::fprintf(f, "]}");
   };
   std::fprintf(f,
                "{\"bench\":\"shared_workload\",\"objects\":%d,"
                "\"clients\":%d,\"threads\":%d,\"distinct\":%d,"
-               "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,",
+               "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,"
+               "\"runs_per_round\":%d,\"figures\":\"median over runs\",",
                cfg.objects, cfg.clients, cfg.threads, cfg.distinct,
-               cfg.zipf_s, cfg.seconds, cfg.cache_bytes);
+               cfg.zipf_s, cfg.seconds, cfg.cache_bytes, kRunsPerRound);
   round_json("unshared", unshared);
   std::fprintf(f, ",");
   round_json("shared", shared);
   std::fprintf(f,
-               ",\"cache\":{\"hits\":%ld,\"misses\":%ld,\"hit_rate\":%.4f,"
-               "\"evictions\":%ld,\"stale_evictions\":%ld,"
-               "\"stale_serves_averted\":%ld,\"peak_resident_hint_bytes\":%ld}"
-               ",\"speedup\":%.3f,\"slo_p99_ms\":%.3f,\"slo_ok\":%s}\n",
-               es.profile_cache_hits, es.profile_cache_misses, hit_rate,
-               es.profile_cache_evictions, es.profile_cache_stale_evictions,
-               es.profile_cache_stale_serves_averted, es.profile_cache_bytes,
-               speedup, slo_p99_ms, slo_ok ? "true" : "false");
+               ",\"hit_rate\":%.4f,\"speedup\":%.3f,\"slo_p99_ms\":%.3f,"
+               "\"slo_ok\":%s}\n",
+               MedianOf(shared, HitRate), speedup, slo_p99_ms,
+               slo_ok ? "true" : "false");
   std::fclose(f);
   std::printf("  wrote %s\n", cfg.out.c_str());
-  return unshared.errors + shared.errors == 0 ? 0 : 1;
+  return errors == 0 ? 0 : 1;
 }

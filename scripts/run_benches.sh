@@ -18,9 +18,13 @@
 # delta size, and writes BENCH_dynamic.json.
 #
 # The cross-query sharing layers get a fourth pass: shared_workload runs a
-# Zipf-skewed multi-client closed loop with the profile cache off, then
-# on, and writes BENCH_shared.json (aggregate QPS, latency
-# percentiles, speedup at the unshared round's p99 SLO, cache hit rate).
+# Zipf-skewed multi-client closed loop with the profile cache off and on,
+# three alternating runs each, and writes BENCH_shared.json (median
+# aggregate QPS, latency percentiles, speedup at the unshared round's p99
+# SLO, cache hit rate; every run listed).
+#
+# Both checked-in files (BENCH_kernels.json, BENCH_shared.json) get the
+# same machine and commit "meta" block from scripts/bench_meta.py.
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build-bench)
 # Env:   OSD_BENCH_MIN_TIME    google-benchmark min seconds/case (default 0.1)
@@ -69,6 +73,7 @@ echo "== shared_workload (cross-query sharing -> BENCH_shared.json) =="
   --seconds "${OSD_BENCH_SHARED_SECONDS:-2.0}" \
   --clients "${OSD_BENCH_SHARED_CLIENTS:-8}" \
   --out BENCH_shared.json
+python3 scripts/bench_meta.py BENCH_shared.json
 
 echo "== micro_dominance (kernel + scalar captures) =="
 "$BUILD_DIR/bench/micro_dominance" \
@@ -90,13 +95,9 @@ for r in $(seq 1 "$FIG12_REPS"); do
 done
 
 python3 - "$TMP" "$OUT" <<'PY'
-import glob, json, re, subprocess, sys
+import glob, json, re, sys
 
 tmp, out = sys.argv[1], sys.argv[2]
-
-def sh(cmd):
-    return subprocess.run(cmd, shell=True, capture_output=True,
-                          text=True).stdout.strip()
 
 def load_gbench(path):
     with open(path) as f:
@@ -175,22 +176,6 @@ for ds, row in fig_kern.items():
             worst = {"pct": round(pct, 2), "cell": f"{ds}/{op}"}
 
 doc = {
-    "meta": {
-        "generated_by": "scripts/run_benches.sh",
-        "date_utc": sh("date -u +%Y-%m-%dT%H:%M:%SZ"),
-        "commit": sh("git rev-parse --short HEAD"),
-        "git_dirty": bool(sh("git status --porcelain")),
-        "machine": {
-            "uname": sh("uname -srm"),
-            "cpus": int(sh("nproc") or 0),
-            "cpu_model": sh(
-                "grep -m1 'model name' /proc/cpuinfo | cut -d: -f2"),
-            "compiler": sh("c++ --version | head -1"),
-        },
-        "build_type": "Release",
-        "benchmark_min_time_s": float(sh("echo ${MIN_TIME:-0.1}") or 0.1),
-        "fig12_reps_min_of": int(sh("echo ${FIG12_REPS:-3}") or 3),
-    },
     "kernel_speedup": {
         "comment": "scalar_time / kernel_time from micro_dominance, "
                    "same binary, keyed by object instance count",
@@ -219,3 +204,5 @@ print(f"\nwrote {out}")
 print(f"  matrix-build speedup: {bld}")
 print(f"  worst fig12 kernel regression: {worst['pct']}% ({worst['cell']})")
 PY
+python3 scripts/bench_meta.py "$OUT" benchmark_min_time_s="$MIN_TIME" \
+  fig12_reps_min_of="$FIG12_REPS"

@@ -77,23 +77,38 @@ uint64_t ComputeQuerySignature(const UncertainObject& query, Metric metric) {
   return h;
 }
 
-ProfileCache::ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget)
-    : cap_bytes_(cap_bytes), budget_(engine_budget) {}
+ProfileCache::ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget,
+                           obs::MetricsRegistry& metrics)
+    : cap_bytes_(cap_bytes),
+      budget_(engine_budget),
+      hits_(metrics.GetCounter(
+          "osd_profile_cache_hits_total",
+          "Profile-cache lookups served from a resident entry")),
+      misses_(metrics.GetCounter(
+          "osd_profile_cache_misses_total",
+          "Profile-cache lookups that fell through to a fresh build")),
+      evictions_(metrics.GetCounter(
+          "osd_profile_cache_evictions_total",
+          "Profile-cache entries evicted (LRU capacity pressure)")),
+      stale_evictions_(metrics.GetCounter(
+          "osd_profile_cache_stale_evictions_total",
+          "Profile-cache entries dropped on lookup for a superseded epoch")),
+      inserts_(metrics.GetCounter("osd_profile_cache_inserts_total",
+                                  "Profile-cache entries published")),
+      stale_serves_averted_(metrics.GetCounter(
+          "osd_profile_cache_stale_serves_averted_total",
+          "Stale-epoch entries refused by the adoption-time epoch guard "
+          "(always 0)")),
+      bytes_gauge_(metrics.GetGauge("osd_profile_cache_bytes",
+                                    "Resident profile-cache bytes")) {}
 
 ProfileCache::~ProfileCache() { Clear(); }
 
-void ProfileCache::BindMetrics(obs::Counter* hits, obs::Counter* misses,
-                               obs::Counter* evictions,
-                               obs::Gauge* bytes_gauge) {
-  hits_metric_ = hits;
-  misses_metric_ = misses;
-  evictions_metric_ = evictions;
-  bytes_gauge_ = bytes_gauge;
-}
+void ProfileCache::NoteStaleServeAverted() { stale_serves_averted_.Increment(); }
 
 void ProfileCache::UpdateBytes(long delta) {
   const long now = bytes_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  if (bytes_gauge_ != nullptr) bytes_gauge_->Set(static_cast<double>(now));
+  bytes_gauge_.Set(static_cast<double>(now));
 }
 
 void ProfileCache::RemoveLocked(Shard& shard, std::list<Node>::iterator it) {
@@ -109,8 +124,7 @@ long ProfileCache::EvictOneLocked(Shard& shard) {
   if (shard.lru.empty()) return 0;
   const long bytes = shard.lru.back().value->bytes;
   RemoveLocked(shard, std::prev(shard.lru.end()));
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  if (evictions_metric_ != nullptr) evictions_metric_->Increment();
+  evictions_.Increment();
   return bytes;
 }
 
@@ -140,13 +154,11 @@ std::shared_ptr<const ProfileArtifacts> ProfileCache::Lookup(
     }
   }
   if (found != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hits_metric_ != nullptr) hits_metric_->Increment();
+    hits_.Increment();
     return found;
   }
-  if (stale) stale_evictions_.fetch_add(1, std::memory_order_relaxed);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (misses_metric_ != nullptr) misses_metric_->Increment();
+  if (stale) stale_evictions_.Increment();
+  misses_.Increment();
   return nullptr;
 }
 
@@ -190,7 +202,7 @@ void ProfileCache::Publish(
     shard.index[key] = shard.lru.begin();
     shard.bytes += bytes;
     UpdateBytes(bytes);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
+    inserts_.Increment();
   } catch (...) {
     // Best-effort by contract (runs in ObjectProfile destructors): an
     // allocation failure inside the index simply drops the publication.
@@ -208,14 +220,13 @@ void ProfileCache::Clear() {
 
 ProfileCache::Counters ProfileCache::GetCounters() const {
   Counters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  c.stale_evictions = stale_evictions_.load(std::memory_order_relaxed);
-  c.inserts = inserts_.load(std::memory_order_relaxed);
-  c.stale_serves_averted =
-      stale_serves_averted_.load(std::memory_order_relaxed);
-  c.bytes = bytes_.load(std::memory_order_relaxed);
+  c.hits = hits_.Value();
+  c.misses = misses_.Value();
+  c.evictions = evictions_.Value();
+  c.stale_evictions = stale_evictions_.Value();
+  c.inserts = inserts_.Value();
+  c.stale_serves_averted = stale_serves_averted_.Value();
+  c.bytes = bytes();
   return c;
 }
 

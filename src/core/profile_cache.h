@@ -25,9 +25,12 @@
 //    the publication is dropped. Clear() — called from QueryEngine::Drain —
 //    releases every charge, so the budget drains to zero.
 //  - Concurrency: kShards independently locked shards (key-hash striped),
-//    mirroring the MemoryBudget/metrics shard layout. Event counters are
-//    additionally mirrored into registry counters (lock-free sharded
-//    atomics) when bound via BindMetrics.
+//    mirroring the MemoryBudget/metrics shard layout.
+//  - Metrics: the cache counts its events only in the obs::MetricsRegistry
+//    it is constructed with (osd_profile_cache_*; lock-free sharded
+//    counters plus the resident-bytes gauge); GetCounters() reads them
+//    back. One cache per registry: two caches on one registry would share
+//    the counters.
 //
 // Determinism contract: a cache hit hands back bit-identical artifacts to
 // what a fresh build would produce (the build is deterministic by the
@@ -60,6 +63,7 @@ class MemoryBudget;
 namespace obs {
 class Counter;
 class Gauge;
+class MetricsRegistry;
 }
 
 /// Fused statistics view (ObjectProfile::EnsureStats output).
@@ -119,7 +123,10 @@ class ProfileCache {
 
   /// cap_bytes <= 0 still caches but bounds only via the engine budget;
   /// `engine_budget` may be null (accounting then stays cache-internal).
-  ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget);
+  /// The cache registers its counters and byte gauge in `metrics`, which
+  /// must outlive it.
+  ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget,
+               obs::MetricsRegistry& metrics);
   ~ProfileCache();
   ProfileCache(const ProfileCache&) = delete;
   ProfileCache& operator=(const ProfileCache&) = delete;
@@ -146,15 +153,9 @@ class ProfileCache {
   /// Records an adoption-time epoch-guard trip (see ObjectProfile); by
   /// construction Lookup never lets one happen, and the chaos soak asserts
   /// the count stays zero.
-  void NoteStaleServeAverted() {
-    stale_serves_averted_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void NoteStaleServeAverted();
 
-  /// Mirrors hit/miss/eviction events and the byte gauge into registry
-  /// instruments (any may be null). Call before concurrent use.
-  void BindMetrics(obs::Counter* hits, obs::Counter* misses,
-                   obs::Counter* evictions, obs::Gauge* bytes_gauge);
-
+  /// Reads the registry counters (cumulative across Clear) and bytes().
   Counters GetCounters() const;
   long bytes() const { return bytes_.load(std::memory_order_relaxed); }
   long cap_bytes() const { return cap_bytes_; }
@@ -200,17 +201,14 @@ class ProfileCache {
   memory::MemoryBudget* budget_;
 
   std::atomic<long> bytes_{0};
-  std::atomic<long> hits_{0};
-  std::atomic<long> misses_{0};
-  std::atomic<long> evictions_{0};
-  std::atomic<long> stale_evictions_{0};
-  std::atomic<long> inserts_{0};
-  std::atomic<long> stale_serves_averted_{0};
 
-  obs::Counter* hits_metric_ = nullptr;
-  obs::Counter* misses_metric_ = nullptr;
-  obs::Counter* evictions_metric_ = nullptr;
-  obs::Gauge* bytes_gauge_ = nullptr;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& evictions_;
+  obs::Counter& stale_evictions_;
+  obs::Counter& inserts_;
+  obs::Counter& stale_serves_averted_;
+  obs::Gauge& bytes_gauge_;
 };
 
 /// Thread-local cache session installed by NncSearch::Run around one query

@@ -1,7 +1,5 @@
 #include "engine/engine_stats.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -10,18 +8,6 @@
 namespace osd {
 
 namespace {
-
-// Bucket math is shared with the obs histograms so every latency
-// distribution in the system is bucket-compatible (see obs/metrics.h).
-static_assert(LatencyHistogram::kBuckets == obs::kLatencyBuckets);
-
-int BucketIndex(double seconds) { return obs::LatencyBucketIndex(seconds); }
-
-double BucketLowerSeconds(int b) {
-  return b == 0 ? 0.0 : obs::LatencyBucketUpperSeconds(b - 1);
-}
-
-double BucketUpperSeconds(int b) { return obs::LatencyBucketUpperSeconds(b); }
 
 // Printf-append that never truncates: outputs longer than the stack buffer
 // re-render into a heap buffer sized from the snprintf return value. The
@@ -41,45 +27,6 @@ void Append(std::string* out, const char* fmt, auto... args) {
 }
 
 }  // namespace
-
-void LatencyHistogram::Add(double seconds) {
-  // NaN survives std::max and log2(NaN) -> float-to-int cast is UB, so
-  // non-finite samples must never reach the bucket math; count them
-  // instead of silently dropping so a poisoned clock stays visible.
-  if (!std::isfinite(seconds)) {
-    ++invalid_;
-    return;
-  }
-  seconds = std::max(seconds, 0.0);
-  ++buckets_[BucketIndex(seconds)];
-  if (count_ == 0 || seconds < min_) min_ = seconds;
-  if (seconds > max_) max_ = seconds;
-  total_ += seconds;
-  ++count_;
-}
-
-double LatencyHistogram::BucketUpperBoundSeconds(int b) {
-  return BucketUpperSeconds(b);
-}
-
-double LatencyHistogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * count_;
-  long cum = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    if (buckets_[b] == 0) continue;
-    if (cum + buckets_[b] >= target) {
-      const double frac =
-          buckets_[b] > 0 ? (target - cum) / buckets_[b] : 0.0;
-      const double lo = BucketLowerSeconds(b);
-      const double hi = BucketUpperSeconds(b);
-      return std::clamp(lo + frac * (hi - lo), min_, max_);
-    }
-    cum += buckets_[b];
-  }
-  return max_;
-}
 
 std::string EngineStats::ToJson() const {
   std::string out = "{";
@@ -107,11 +54,11 @@ std::string EngineStats::ToJson() const {
   out += ",\"latency_buckets\":[";
   {
     bool first_bucket = true;
-    for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      const long n = latency_histogram.buckets()[b];
+    for (int b = 0; b < obs::kLatencyBuckets; ++b) {
+      const long n = latency_histogram[b];
       if (n == 0) continue;
       Append(&out, "%s[%.4f,%ld]", first_bucket ? "" : ",",
-             LatencyHistogram::BucketUpperBoundSeconds(b) * 1e3, n);
+             obs::LatencyBucketUpperSeconds(b) * 1e3, n);
       first_bucket = false;
     }
   }

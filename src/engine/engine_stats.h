@@ -1,10 +1,12 @@
 // Cross-query observability for the batch query engine.
 //
-// The engine records one completion event per query (terminal status,
-// end-to-end latency, per-operator work counters). EngineStats is the
-// JSON-serializable snapshot the engine exports: status counts, overall
-// throughput, latency percentiles from a log2-bucketed histogram, summed
-// FilterStats / prune counters, and per-operator throughput.
+// The engine counts every event (terminal status, end-to-end latency,
+// per-operator work counters) once, in its obs::MetricsRegistry.
+// EngineStats is a JSON-serializable read of those instruments
+// (QueryEngine::Snapshot): status counts, overall throughput, latency
+// percentiles from the log2-bucketed osd_query_latency_seconds histogram,
+// summed FilterStats / prune counters, and per-operator throughput. Every
+// number here is also in the Prometheus exposition.
 //
 // All latencies are steady_clock durations (see NncResult), so the
 // percentiles are immune to wall-clock adjustments.
@@ -21,48 +23,12 @@
 
 namespace osd {
 
-/// Fixed-size log2 latency histogram: bucket 0 holds <= 1us, bucket b
-/// holds (2^(b-1), 2^b] microseconds. 42 buckets reach ~25 days, far past
-/// any query. Quantiles interpolate linearly inside the hit bucket and are
-/// clamped to the observed [min, max]. Non-finite samples (NaN, ±inf) are
-/// never mixed into the buckets or the moments — they land in invalid()
-/// so a poisoned clock read cannot corrupt every later percentile.
-/// Not internally synchronized — the engine guards it with its stats mutex.
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 42;
-
-  void Add(double seconds);
-
-  long count() const { return count_; }
-  long invalid() const { return invalid_; }
-  double min_seconds() const { return count_ == 0 ? 0.0 : min_; }
-  double max_seconds() const { return max_; }
-  double mean_seconds() const { return count_ == 0 ? 0.0 : total_ / count_; }
-
-  /// q in [0, 1]; 0 with no samples.
-  double Quantile(double q) const;
-
-  /// Per-bucket sample counts (see the class comment for the bounds).
-  const std::array<long, kBuckets>& buckets() const { return buckets_; }
-
-  /// Inclusive upper bound of bucket b in seconds.
-  static double BucketUpperBoundSeconds(int b);
-
- private:
-  std::array<long, kBuckets> buckets_{};
-  long count_ = 0;
-  long invalid_ = 0;
-  double total_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Work and throughput of one operator across all its completed queries.
 struct OperatorStats {
   long queries = 0;
   long candidates = 0;        ///< summed result-set sizes
-  double busy_seconds = 0.0;  ///< summed per-query traversal seconds
+  double busy_seconds = 0.0;  ///< summed per-query traversal seconds,
+                              ///< each rounded to whole microseconds
 
   /// Queries per second of traversal compute (per-core throughput).
   double Qps() const { return busy_seconds > 0 ? queries / busy_seconds : 0; }
@@ -102,10 +68,11 @@ struct EngineStats {
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
   /// Non-finite latency samples rejected by the histogram (see
-  /// LatencyHistogram::invalid()); always 0 on a healthy clock.
+  /// obs::Histogram::Invalid()); always 0 on a healthy clock.
   long latency_invalid = 0;
-  /// The raw latency histogram, for metrics export.
-  LatencyHistogram latency_histogram;
+  /// Per-bucket latency counts; bucket b's upper bound is
+  /// obs::LatencyBucketUpperSeconds(b).
+  std::array<long, obs::kLatencyBuckets> latency_histogram{};
 
   /// Summed across completed queries.
   FilterStats filters;

@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <iterator>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -50,6 +52,21 @@ std::string DescribeFailure(const std::exception& e) {
   return text;
 }
 
+/// Every FilterStats field, exported as osd_filter_events_total{kind=...}.
+constexpr std::pair<const char*, long FilterStats::*> kFilterFields[] = {
+    {"dist_evals", &FilterStats::dist_evals},
+    {"scan_steps", &FilterStats::scan_steps},
+    {"pair_tests", &FilterStats::pair_tests},
+    {"node_ops", &FilterStats::node_ops},
+    {"flow_runs", &FilterStats::flow_runs},
+    {"mbr_validations", &FilterStats::mbr_validations},
+    {"stat_prunes", &FilterStats::stat_prunes},
+    {"cover_prunes", &FilterStats::cover_prunes},
+    {"level_decisions", &FilterStats::level_decisions},
+    {"exact_checks", &FilterStats::exact_checks},
+    {"dominance_checks", &FilterStats::dominance_checks},
+};
+
 /// Uniform draw in [0, 1) for backoff jitter. Thread-local and seeded from
 /// random_device: jitter must decorrelate workers, not be reproducible.
 double JitterDraw() {
@@ -74,21 +91,21 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
       versioned_(std::make_shared<VersionedDataset>(std::move(dataset),
                                                     &mem_budget_)),
       pool_(ResolveThreads(options.num_threads), options.queue_capacity),
+      profile_cache_(options.profile_cache_bytes > 0
+                         ? std::make_unique<ProfileCache>(
+                               options.profile_cache_bytes, &mem_budget_,
+                               registry_)
+                         : nullptr),
       slow_log_(options.slow_query_threshold_ms / 1e3,
                 options.slow_query_log_capacity) {
   // Resolve every hot-path metric once; Complete then only touches sharded
   // atomics and never the registry's registration mutex.
-  static constexpr QueryStatus kStatuses[] = {
-      QueryStatus::kPending,   QueryStatus::kRunning,
-      QueryStatus::kOk,        QueryStatus::kDeadlineExceeded,
-      QueryStatus::kCancelled, QueryStatus::kError,
-      QueryStatus::kOkDegraded, QueryStatus::kRejected,
-      QueryStatus::kStalled,
-  };
-  for (QueryStatus status : kStatuses) {
-    if (status == QueryStatus::kPending || status == QueryStatus::kRunning) {
-      continue;  // non-terminal states never reach Complete
-    }
+  // Terminal states only: kPending / kRunning never reach Complete.
+  for (QueryStatus status :
+       {QueryStatus::kOk, QueryStatus::kDeadlineExceeded,
+        QueryStatus::kCancelled, QueryStatus::kError,
+        QueryStatus::kOkDegraded, QueryStatus::kRejected,
+        QueryStatus::kStalled}) {
     std::string label = QueryStatusName(status);
     std::transform(label.begin(), label.end(), label.begin(),
                    [](unsigned char c) { return std::tolower(c); });
@@ -97,15 +114,37 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
         "Completed queries by terminal status");
   }
   for (int op = 0; op < 5; ++op) {
-    hot_.by_op[op] = &registry_.GetCounter(
-        std::string("osd_operator_queries_total{op=\"") +
-            OperatorName(static_cast<Operator>(op)) + "\"}",
-        "Completed queries by dominance operator");
+    const std::string label = std::string("{op=\"") +
+                              OperatorName(static_cast<Operator>(op)) + "\"}";
+    hot_.by_op[op] =
+        &registry_.GetCounter("osd_operator_queries_total" + label,
+                              "Completed queries by dominance operator");
+    hot_.op_candidates[op] = &registry_.GetCounter(
+        "osd_operator_candidates_total" + label,
+        "Summed result-set sizes by dominance operator");
+    hot_.op_busy_us[op] = &registry_.GetCounter(
+        "osd_operator_busy_microseconds_total" + label,
+        "Summed per-query traversal time by dominance operator, each "
+        "query rounded to whole microseconds");
   }
+  static_assert(std::size(kFilterFields) == std::tuple_size_v<
+                                                decltype(HotMetrics::filters)>);
+  for (size_t i = 0; i < std::size(kFilterFields); ++i) {
+    hot_.filters[i] = &registry_.GetCounter(
+        std::string("osd_filter_events_total{kind=\"") + kFilterFields[i].first +
+            "\"}",
+        "Summed FilterStats counters of completed queries, by field");
+  }
+  hot_.submitted = &registry_.GetCounter(
+      "osd_queries_submitted_total",
+      "Queries submitted, counted before admission control");
   hot_.latency = &registry_.GetHistogram(
       "osd_query_latency_seconds", "End-to-end query latency (seconds)");
   hot_.retries = &registry_.GetCounter("osd_retries_total",
                                        "Transient-failure re-attempts");
+  hot_.workers_poisoned = &registry_.GetCounter(
+      "osd_workers_poisoned_total",
+      "Pool workers poisoned and respawned by the watchdog");
   hot_.candidates = &registry_.GetCounter("osd_candidates_total",
                                           "Summed result-set sizes");
   hot_.dominance_checks = &registry_.GetCounter(
@@ -142,23 +181,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
   hot_.mem_peak = &registry_.GetGauge(
       "osd_mem_engine_peak_bytes",
       "Peak engine-wide charged query memory (bytes)");
-  if (options_.profile_cache_bytes > 0) {
-    profile_cache_ = std::make_unique<ProfileCache>(
-        options_.profile_cache_bytes, &mem_budget_);
-    hot_.cache_hits = &registry_.GetCounter(
-        "osd_profile_cache_hits_total",
-        "Profile-cache lookups served from a resident entry");
-    hot_.cache_misses = &registry_.GetCounter(
-        "osd_profile_cache_misses_total",
-        "Profile-cache lookups that fell through to a fresh build");
-    hot_.cache_evictions = &registry_.GetCounter(
-        "osd_profile_cache_evictions_total",
-        "Profile-cache entries evicted (LRU capacity pressure)");
-    hot_.cache_bytes = &registry_.GetGauge(
-        "osd_profile_cache_bytes", "Resident profile-cache bytes");
-    profile_cache_->BindMetrics(hot_.cache_hits, hot_.cache_misses,
-                                hot_.cache_evictions, hot_.cache_bytes);
-  }
   if (options_.watchdog) {
     watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
   }
@@ -166,14 +188,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
     versioned_->StartFoldThread(options_.fold_interval_s,
                                 options_.fold_delta_threshold);
   }
-}
-
-void QueryEngine::NoteMemBreach() {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++mem_breaches_;
-  }
-  hot_.mem_breaches->Increment();
 }
 
 long QueryEngine::AdmissionHighWaterBytes() const {
@@ -275,8 +289,7 @@ void QueryEngine::FailStalled(Watched& watched) {
     // so it exits once the stalled task finally returns, with an immediate
     // replacement keeping pool capacity whole.
     pool_.PoisonWorker(watched.worker);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++workers_poisoned_;
+    hot_.workers_poisoned->Increment();
   }
 }
 
@@ -295,15 +308,10 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
         now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(spec.deadline_seconds));
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++submitted_;
-    if (!saw_submission_) {
-      saw_submission_ = true;
-      first_submit_ = now;
-      last_completion_ = now;
-    }
-  }
+  hot_.submitted->Increment();
+  auto unset = kNever;
+  first_submit_.compare_exchange_strong(unset, now.time_since_epoch().count(),
+                                        std::memory_order_relaxed);
   const Operator op = spec.options.op;
   // Memory admission control: above the engine budget's high-water mark,
   // refuse work before it starts (kRejected, when shedding) or hold the
@@ -311,10 +319,6 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
   if (const long high_water = AdmissionHighWaterBytes(); high_water > 0) {
     if (mem_budget_.current_bytes() >= high_water) {
       if (options_.shed_on_overload) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++mem_admission_rejected_;
-        }
         hot_.mem_admission_rejected->Increment();
         Complete(ticket, op, QueryStatus::kRejected, {},
                  "engine memory budget above high-water mark (admission "
@@ -492,7 +496,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
       }
       if (result.termination == NncTermination::kMemoryExceeded) {
         // Breach absorbed by the degraded-superset drain inside Run.
-        NoteMemBreach();
+        hot_.mem_breaches->Increment();
       }
       Complete(ticket, op, StatusFromResult(result), std::move(result), "",
                attempt);
@@ -500,7 +504,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
     } catch (const MemoryExceeded& e) {
       // Transient (engine-wide pressure clears as other queries finish);
       // falls through to the shared retry/backoff logic below.
-      NoteMemBreach();
+      hot_.mem_breaches->Increment();
       failure = DescribeFailure(e);
     } catch (const TransientError& e) {
       failure = DescribeFailure(e);
@@ -509,10 +513,6 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
       // or poison its siblings. bad_alloc is deliberately not retried —
       // unlike a budget breach there is no accounting to say the pressure
       // has cleared.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++bad_allocs_;
-      }
       hot_.bad_allocs->Increment();
       Complete(ticket, op, QueryStatus::kError, {},
                "out of memory (std::bad_alloc contained at the worker "
@@ -548,10 +548,6 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
                attempt);
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++retries_;
-    }
     hot_.retries->Increment();
     if (backoff_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
@@ -586,45 +582,23 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
              status == QueryStatus::kStalled) {
     result.termination = NncTermination::kDeadlineExceeded;
   }
-  // Record under the stats lock BEFORE the ticket signals: anyone who
-  // returns from ticket->Wait() then observes a Snapshot that already
-  // includes this query.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    switch (status) {
-      case QueryStatus::kOk: ++ok_; break;
-      case QueryStatus::kOkDegraded: ++ok_degraded_; break;
-      case QueryStatus::kDeadlineExceeded: ++deadline_exceeded_; break;
-      case QueryStatus::kCancelled: ++cancelled_; break;
-      case QueryStatus::kRejected: ++rejected_; break;
-      case QueryStatus::kStalled: ++stalled_; break;
-      default: ++errors_; break;
-    }
-    // Rejected queries never ran; keeping them out of the latency
-    // histogram stops shed storms from dragging the percentiles to ~0.
-    if (status != QueryStatus::kRejected) latency_.Add(latency);
-    if (status != QueryStatus::kError && status != QueryStatus::kRejected) {
-      filters_ += result.stats;
-      objects_examined_ += result.objects_examined;
-      entries_pruned_ += result.entries_pruned;
-      frontier_objects_ += result.frontier_objects;
-      mem_scratch_reuse_bytes_ += result.mem_scratch_reuse_bytes;
-      OperatorStats& per_op = per_operator_[static_cast<int>(op)];
-      ++per_op.queries;
-      per_op.candidates += static_cast<long>(result.candidates.size());
-      per_op.busy_seconds += result.seconds;
-    }
-    last_completion_ = now;
-  }
-  // Metric updates are sharded relaxed atomics, deliberately outside the
-  // stats lock. The ordering contract still holds: every update lands
-  // before the ticket signals, and a Wait()er's acquire of the ticket's
-  // mutex makes them visible to its subsequent Snapshot / MetricsText.
+  // Count BEFORE the ticket signals: the updates are sharded relaxed
+  // atomics, and a Wait()er's acquire of the ticket's mutex makes every one
+  // of them visible to its subsequent Snapshot / MetricsText.
   hot_.by_status[static_cast<int>(status)]->Increment();
+  // Rejected queries never ran; keeping them out of the latency histogram
+  // stops shed storms from dragging the percentiles to ~0.
   if (status != QueryStatus::kRejected) hot_.latency->Observe(latency);
   if (status != QueryStatus::kError && status != QueryStatus::kRejected) {
-    hot_.by_op[static_cast<int>(op)]->Increment();
-    hot_.candidates->Increment(static_cast<long>(result.candidates.size()));
+    const int o = static_cast<int>(op);
+    const long candidates = static_cast<long>(result.candidates.size());
+    hot_.by_op[o]->Increment();
+    hot_.op_candidates[o]->Increment(candidates);
+    hot_.op_busy_us[o]->Increment(std::lround(result.seconds * 1e6));
+    for (size_t i = 0; i < std::size(kFilterFields); ++i) {
+      hot_.filters[i]->Increment(result.stats.*kFilterFields[i].second);
+    }
+    hot_.candidates->Increment(candidates);
     hot_.dominance_checks->Increment(result.stats.dominance_checks);
     hot_.instance_comparisons->Increment(result.stats.InstanceComparisons());
     hot_.flow_runs->Increment(result.stats.flow_runs);
@@ -632,6 +606,11 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
     hot_.entries_pruned->Increment(result.entries_pruned);
     hot_.frontier_objects->Increment(result.frontier_objects);
     hot_.mem_scratch_reuse->Increment(result.mem_scratch_reuse_bytes);
+  }
+  const auto ticks = now.time_since_epoch().count();
+  auto last = last_completion_.load(std::memory_order_relaxed);
+  while (last < ticks && !last_completion_.compare_exchange_weak(
+                             last, ticks, std::memory_order_relaxed)) {
   }
   if (slow_log_.ShouldRecord(latency)) {
     char buf[160];
@@ -657,52 +636,66 @@ EngineStats QueryEngine::Snapshot() const {
   // and a snapshot tell the same story.
   hot_.mem_current->Set(mem_budget_.current_bytes());
   hot_.mem_peak->Set(mem_budget_.peak_bytes());
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  auto count = [this](QueryStatus status) {
+    return hot_.by_status[static_cast<int>(status)]->Value();
+  };
   EngineStats s;
   s.threads = pool_.num_threads();
-  s.submitted = submitted_;
-  s.ok = ok_;
-  s.ok_degraded = ok_degraded_;
-  s.deadline_exceeded = deadline_exceeded_;
-  s.cancelled = cancelled_;
-  s.errors = errors_;
-  s.rejected = rejected_;
-  s.stalled = stalled_;
-  s.workers_poisoned = workers_poisoned_;
-  s.retries = retries_;
-  s.completed = ok_ + ok_degraded_ + deadline_exceeded_ + cancelled_ +
-                errors_ + rejected_ + stalled_;
+  s.ok = count(QueryStatus::kOk);
+  s.ok_degraded = count(QueryStatus::kOkDegraded);
+  s.deadline_exceeded = count(QueryStatus::kDeadlineExceeded);
+  s.cancelled = count(QueryStatus::kCancelled);
+  s.errors = count(QueryStatus::kError);
+  s.rejected = count(QueryStatus::kRejected);
+  s.stalled = count(QueryStatus::kStalled);
+  s.completed = s.ok + s.ok_degraded + s.deadline_exceeded + s.cancelled +
+                s.errors + s.rejected + s.stalled;
+  // Read after the completions, so a live snapshot never shows more
+  // completed than submitted queries.
+  s.submitted = hot_.submitted->Value();
+  s.workers_poisoned = hot_.workers_poisoned->Value();
+  s.retries = hot_.retries->Value();
   // Throughput counts tickets that actually ran. Shed (rejected) tickets
   // terminate in microseconds without executing; folding them into the
   // numerator would report an overloaded engine as faster the harder it
   // sheds.
-  s.executed = s.completed - rejected_;
-  if (saw_submission_) {
-    s.wall_seconds =
-        std::chrono::duration<double>(last_completion_ - first_submit_)
-            .count();
+  s.executed = s.completed - s.rejected;
+  const auto first = first_submit_.load(std::memory_order_relaxed);
+  const auto last = last_completion_.load(std::memory_order_relaxed);
+  if (first != kNever && last > first) {
+    s.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::duration(last - first))
+                         .count();
   }
   s.qps = s.wall_seconds > 0 ? s.executed / s.wall_seconds : 0.0;
-  s.latency_mean_ms = latency_.mean_seconds() * 1e3;
-  s.latency_p50_ms = latency_.Quantile(0.50) * 1e3;
-  s.latency_p95_ms = latency_.Quantile(0.95) * 1e3;
-  s.latency_p99_ms = latency_.Quantile(0.99) * 1e3;
-  s.latency_max_ms = latency_.max_seconds() * 1e3;
-  s.latency_invalid = latency_.invalid();
-  s.latency_histogram = latency_;
-  s.filters = filters_;
-  s.objects_examined = objects_examined_;
-  s.entries_pruned = entries_pruned_;
-  s.frontier_objects = frontier_objects_;
-  s.mem_breaches = mem_breaches_;
-  s.mem_scratch_reuse_bytes = mem_scratch_reuse_bytes_;
-  s.mem_admission_rejected = mem_admission_rejected_;
-  s.bad_allocs = bad_allocs_;
+  const obs::Histogram& latency = *hot_.latency;
+  s.latency_mean_ms = latency.Mean() * 1e3;
+  s.latency_p50_ms = latency.Quantile(0.50) * 1e3;
+  s.latency_p95_ms = latency.Quantile(0.95) * 1e3;
+  s.latency_p99_ms = latency.Quantile(0.99) * 1e3;
+  s.latency_max_ms = latency.Max() * 1e3;
+  s.latency_invalid = latency.Invalid();
+  s.latency_histogram = latency.Buckets();
+  for (size_t i = 0; i < std::size(kFilterFields); ++i) {
+    s.filters.*kFilterFields[i].second = hot_.filters[i]->Value();
+  }
+  s.objects_examined = hot_.objects_examined->Value();
+  s.entries_pruned = hot_.entries_pruned->Value();
+  s.frontier_objects = hot_.frontier_objects->Value();
+  s.mem_breaches = hot_.mem_breaches->Value();
+  s.mem_scratch_reuse_bytes = hot_.mem_scratch_reuse->Value();
+  s.mem_admission_rejected = hot_.mem_admission_rejected->Value();
+  s.bad_allocs = hot_.bad_allocs->Value();
   s.mem_current_bytes = mem_budget_.current_bytes();
   s.mem_peak_bytes = mem_budget_.peak_bytes();
   s.mem_engine_cap_bytes = options_.engine_mem_bytes;
   s.mem_per_query_cap_bytes = options_.per_query_mem_bytes;
-  s.per_operator = per_operator_;
+  for (int op = 0; op < 5; ++op) {
+    OperatorStats& per_op = s.per_operator[op];
+    per_op.queries = hot_.by_op[op]->Value();
+    per_op.candidates = hot_.op_candidates[op]->Value();
+    per_op.busy_seconds = hot_.op_busy_us[op]->Value() / 1e6;
+  }
   if (profile_cache_ != nullptr) {
     const ProfileCache::Counters c = profile_cache_->GetCounters();
     s.profile_cache_hits = c.hits;

@@ -37,9 +37,12 @@
 #ifndef OSD_ENGINE_QUERY_ENGINE_H_
 #define OSD_ENGINE_QUERY_ENGINE_H_
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -234,8 +237,11 @@ class QueryEngine {
   /// detach durability, seal the WAL, or destroy the engine.
   void Drain();
 
-  /// Consistent snapshot of the engine-level counters, including a drain
-  /// of the metrics registry (EngineStats::metrics).
+  /// Point-in-time read of the engine's metrics registry: EngineStats
+  /// fields from the hot instruments plus the full registry collect
+  /// (EngineStats::metrics). Exact once Drain() returns, and it includes
+  /// every query whose Wait() returned, since all updates land before the
+  /// ticket signals.
   EngineStats Snapshot() const;
 
   /// Prometheus text exposition (version 0.0.4) of the current metrics.
@@ -271,8 +277,9 @@ class QueryEngine {
  private:
   void Execute(const std::shared_ptr<QueryTicket>& ticket, QuerySpec& spec);
 
-  /// Records the terminal event in the engine stats, then transitions the
-  /// ticket (stats first — see Complete's body for the ordering contract).
+  /// Records the terminal event in the metrics registry, then transitions
+  /// the ticket (metrics first — see Complete's body for the ordering
+  /// contract).
   /// Returns true iff this call won the ticket's completion claim; a false
   /// return means another completer (worker vs. watchdog) got there first
   /// and this call changed nothing.
@@ -300,10 +307,12 @@ class QueryEngine {
   /// off (no engine budget configured).
   long AdmissionHighWaterBytes() const;
 
-  /// Counts one memory-budget breach (stats + hot metric).
-  void NoteMemBreach();
-
   EngineOptions options_;
+  /// The engine's only counters: every event is counted here once, and
+  /// Snapshot() reads EngineStats back from these instruments. Declared
+  /// before everything that writes to it (the pool's workers, the profile
+  /// cache's byte gauge in ~ProfileCache) so it is destroyed after them.
+  obs::MetricsRegistry registry_;
   memory::MemoryBudget mem_budget_;
   /// Declared after mem_budget_ on purpose: delta objects release their
   /// budget charge from their deleters, so the store (and with it the last
@@ -313,20 +322,27 @@ class QueryEngine {
   ThreadPool pool_;
 
   /// Cross-query profile cache; null when EngineOptions::profile_cache_bytes
-  /// <= 0. Declared after mem_budget_: resident entries are charged against
-  /// it.
+  /// <= 0. Declared after mem_budget_ (resident entries are charged against
+  /// it) and registry_ (it counts its events there).
   std::unique_ptr<ProfileCache> profile_cache_;
 
-  /// Lock-free hot-path metrics (sharded by thread) plus the slow-query
-  /// log. Pointers into `registry_` are resolved once at construction so
-  /// Complete never takes the registry's registration mutex.
-  obs::MetricsRegistry registry_;
+  /// The slow-query log, and the hot-path instruments of registry_,
+  /// resolved once at construction so Complete never takes the registry's
+  /// registration mutex.
   obs::SlowQueryLog slow_log_;
   struct HotMetrics {
+    obs::Counter* submitted = nullptr;
     std::array<obs::Counter*, 9> by_status{};  ///< by QueryStatus
-    std::array<obs::Counter*, 5> by_op{};      ///< by Operator
+    /// By Operator: completed queries, result-set sizes, and traversal
+    /// time in whole microseconds.
+    std::array<obs::Counter*, 5> by_op{};
+    std::array<obs::Counter*, 5> op_candidates{};
+    std::array<obs::Counter*, 5> op_busy_us{};
+    /// One per FilterStats field, in kFilterFields order (query_engine.cc).
+    std::array<obs::Counter*, 11> filters{};
     obs::Histogram* latency = nullptr;
     obs::Counter* retries = nullptr;
+    obs::Counter* workers_poisoned = nullptr;
     obs::Counter* candidates = nullptr;
     obs::Counter* dominance_checks = nullptr;
     obs::Counter* instance_comparisons = nullptr;
@@ -341,12 +357,6 @@ class QueryEngine {
     obs::Counter* bad_allocs = nullptr;
     obs::Gauge* mem_current = nullptr;
     obs::Gauge* mem_peak = nullptr;
-    // Profile-cache instruments; resolved (and the cache bound to them)
-    // only when the cache is enabled.
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_evictions = nullptr;
-    obs::Gauge* cache_bytes = nullptr;
   };
   HotMetrics hot_;
 
@@ -360,30 +370,13 @@ class QueryEngine {
   bool watch_stop_ = false;
   std::thread watchdog_thread_;
 
-  mutable std::mutex stats_mu_;
-  long submitted_ = 0;
-  long ok_ = 0;
-  long ok_degraded_ = 0;
-  long deadline_exceeded_ = 0;
-  long cancelled_ = 0;
-  long errors_ = 0;
-  long rejected_ = 0;
-  long stalled_ = 0;
-  long workers_poisoned_ = 0;
-  long retries_ = 0;
-  long frontier_objects_ = 0;
-  long mem_scratch_reuse_bytes_ = 0;
-  long mem_breaches_ = 0;
-  long mem_admission_rejected_ = 0;
-  long bad_allocs_ = 0;
-  LatencyHistogram latency_;
-  FilterStats filters_;
-  long objects_examined_ = 0;
-  long entries_pruned_ = 0;
-  std::array<OperatorStats, 5> per_operator_{};
-  bool saw_submission_ = false;
-  std::chrono::steady_clock::time_point first_submit_{};
-  std::chrono::steady_clock::time_point last_completion_{};
+  /// First submission to latest completion, as steady_clock ticks (kNever
+  /// until set): the window behind EngineStats::wall_seconds and qps. A
+  /// time window rather than a counter, so it lives outside registry_.
+  static constexpr std::chrono::steady_clock::rep kNever =
+      std::numeric_limits<std::chrono::steady_clock::rep>::min();
+  std::atomic<std::chrono::steady_clock::rep> first_submit_{kNever};
+  std::atomic<std::chrono::steady_clock::rep> last_completion_{kNever};
 };
 
 }  // namespace osd

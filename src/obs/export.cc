@@ -56,40 +56,46 @@ std::string EscapeJson(const std::string& s) {
 
 std::string RenderPrometheusMetrics(
     const std::vector<MetricSnapshot>& metrics) {
+  // Appends only, no temporaries: the server renders this on every
+  // metrics request.
   std::string out;
-  std::string last_family;
+  auto line = [&out](const std::string& name, const char* suffix,
+                     double value) {
+    out.append(name).append(suffix).append(" ").append(FormatValue(value));
+    out += '\n';
+  };
+  const std::string* last_family = nullptr;
   for (const MetricSnapshot& m : metrics) {
-    if (m.family != last_family) {
-      last_family = m.family;
+    if (last_family == nullptr || m.family != *last_family) {
+      last_family = &m.family;
       if (!m.help.empty()) {
-        out += "# HELP " + m.family + " " + m.help + "\n";
+        out.append("# HELP ").append(m.family).append(" ").append(m.help);
+        out += '\n';
       }
-      out += "# TYPE " + m.family + " " + TypeName(m.type) + "\n";
+      out.append("# TYPE ").append(m.family).append(" ");
+      out.append(TypeName(m.type)).append("\n");
     }
     switch (m.type) {
       case MetricType::kCounter:
       case MetricType::kGauge:
-        out += m.name + " " + FormatValue(m.value) + "\n";
+        line(m.name, "", m.value);
         break;
       case MetricType::kHistogram: {
         long cumulative = 0;
         for (size_t b = 0; b < m.buckets.size(); ++b) {
           cumulative += m.buckets[b];
-          char le[32];
-          std::snprintf(le, sizeof(le), "%g",
+          char le[48];
+          std::snprintf(le, sizeof(le), "_bucket{le=\"%g\"}",
                         LatencyBucketUpperSeconds(static_cast<int>(b)));
-          out += m.family + "_bucket{le=\"" + le + "\"} " +
-                 FormatValue(static_cast<double>(cumulative)) + "\n";
+          line(m.family, le, static_cast<double>(cumulative));
         }
-        out += m.family + "_bucket{le=\"+Inf\"} " +
-               FormatValue(static_cast<double>(m.count)) + "\n";
-        out += m.family + "_sum " + FormatValue(m.sum) + "\n";
-        out += m.family + "_count " +
-               FormatValue(static_cast<double>(m.count)) + "\n";
+        line(m.family, "_bucket{le=\"+Inf\"}", static_cast<double>(m.count));
+        line(m.family, "_sum", m.sum);
+        line(m.family, "_count", static_cast<double>(m.count));
         if (m.invalid > 0) {
-          out += "# TYPE " + m.family + "_invalid_total counter\n";
-          out += m.family + "_invalid_total " +
-                 FormatValue(static_cast<double>(m.invalid)) + "\n";
+          out.append("# TYPE ").append(m.family).append(
+              "_invalid_total counter\n");
+          line(m.family, "_invalid_total", static_cast<double>(m.invalid));
         }
         break;
       }

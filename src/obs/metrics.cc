@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <limits>
 
 #include "common/check.h"
 
@@ -39,8 +41,24 @@ int ThisShard() {
 
 }  // namespace internal
 
+namespace {
+
+// Lock-free running extreme: retry only while `value` still beats the
+// slot, so an uncontended shard costs one load.
+template <typename Beats>
+void AtomicExtreme(std::atomic<double>& slot, double value, Beats beats) {
+  double seen = slot.load(std::memory_order_relaxed);
+  while (beats(value, seen) &&
+         !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
 void Histogram::Observe(double seconds) {
   Shard& shard = shards_[internal::ThisShard()];
+  // NaN survives std::max, and the float-to-int cast of log2(NaN) in the
+  // bucket math is UB: non-finite samples are counted, never bucketed.
   if (!std::isfinite(seconds)) {
     shard.invalid.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -50,6 +68,8 @@ void Histogram::Observe(double seconds) {
       1, std::memory_order_relaxed);
   shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(seconds, std::memory_order_relaxed);
+  AtomicExtreme(shard.min, seconds, std::less<>());
+  AtomicExtreme(shard.max, seconds, std::greater<>());
 }
 
 long Histogram::Count() const {
@@ -76,6 +96,27 @@ double Histogram::Sum() const {
   return total;
 }
 
+double Histogram::Min() const {
+  double lowest = std::numeric_limits<double>::infinity();
+  for (const Shard& s : shards_) {
+    lowest = std::min(lowest, s.min.load(std::memory_order_relaxed));
+  }
+  return std::isinf(lowest) ? 0.0 : lowest;
+}
+
+double Histogram::Max() const {
+  double highest = 0.0;
+  for (const Shard& s : shards_) {
+    highest = std::max(highest, s.max.load(std::memory_order_relaxed));
+  }
+  return highest;
+}
+
+double Histogram::Mean() const {
+  const long count = Count();
+  return count == 0 ? 0.0 : Sum() / count;
+}
+
 std::array<long, kLatencyBuckets> Histogram::Buckets() const {
   std::array<long, kLatencyBuckets> out{};
   for (const Shard& s : shards_) {
@@ -86,43 +127,65 @@ std::array<long, kLatencyBuckets> Histogram::Buckets() const {
   return out;
 }
 
+double Histogram::Quantile(double q) const {
+  const std::array<long, kLatencyBuckets> buckets = Buckets();
+  long count = 0;
+  for (long n : buckets) count += n;
+  if (count == 0) return 0.0;
+  // min/max are read after the buckets, so a concurrent first Observe can
+  // leave them momentarily unset or crossed; min/max rather than
+  // std::clamp keeps that case defined.
+  const double lowest = Min();
+  const double highest = std::max(Max(), lowest);
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(count);
+  long cum = 0;
+  for (int b = 0; b < kLatencyBuckets; ++b) {
+    if (buckets[b] == 0) continue;
+    if (cum + buckets[b] >= target) {
+      const double frac = (target - cum) / buckets[b];
+      const double lo = b == 0 ? 0.0 : LatencyBucketUpperSeconds(b - 1);
+      const double hi = LatencyBucketUpperSeconds(b);
+      return std::min(std::max(lo + frac * (hi - lo), lowest), highest);
+    }
+    cum += buckets[b];
+  }
+  return highest;
+}
+
 std::string MetricFamily(const std::string& name) {
   const size_t brace = name.find('{');
   return brace == std::string::npos ? name : name.substr(0, brace);
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& help) {
+template <typename T>
+T& MetricsRegistry::GetOrCreate(const std::string& name,
+                                const std::string& help, MetricType type,
+                                std::deque<T>& store, T* Entry::*slot) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_name_.find(name);
   if (it != by_name_.end()) {
-    OSD_CHECK(it->second.type == MetricType::kCounter);
-    return *it->second.counter;
+    OSD_CHECK(it->second.type == type);
+    return *(it->second.*slot);
   }
-  counters_.emplace_back();
   Entry entry;
-  entry.type = MetricType::kCounter;
-  entry.counter = &counters_.back();
-  by_name_.emplace(name, entry);
-  help_by_family_.emplace(MetricFamily(name), help);
-  return counters_.back();
+  entry.type = type;
+  entry.family = MetricFamily(name);
+  // std::map nodes are stable, so the entry can keep a pointer to the help.
+  entry.help = &help_by_family_.emplace(entry.family, help).first->second;
+  entry.*slot = &store.emplace_back();
+  by_name_.emplace(name, std::move(entry));
+  return store.back();
+}
+
+Counter& MetricsRegistry::GetCounter(const std::string& name,
+                                     const std::string& help) {
+  return GetOrCreate(name, help, MetricType::kCounter, counters_,
+                     &Entry::counter);
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    OSD_CHECK(it->second.type == MetricType::kGauge);
-    return *it->second.gauge;
-  }
-  gauges_.emplace_back();
-  Entry entry;
-  entry.type = MetricType::kGauge;
-  entry.gauge = &gauges_.back();
-  by_name_.emplace(name, entry);
-  help_by_family_.emplace(MetricFamily(name), help);
-  return gauges_.back();
+  return GetOrCreate(name, help, MetricType::kGauge, gauges_, &Entry::gauge);
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name,
@@ -130,19 +193,8 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
   // Histogram exposition splices `le` labels into the name, so baked-in
   // labels are not supported on histograms.
   OSD_CHECK(name.find('{') == std::string::npos);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    OSD_CHECK(it->second.type == MetricType::kHistogram);
-    return *it->second.histogram;
-  }
-  histograms_.emplace_back();
-  Entry entry;
-  entry.type = MetricType::kHistogram;
-  entry.histogram = &histograms_.back();
-  by_name_.emplace(name, entry);
-  help_by_family_.emplace(MetricFamily(name), help);
-  return histograms_.back();
+  return GetOrCreate(name, help, MetricType::kHistogram, histograms_,
+                     &Entry::histogram);
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Collect() const {
@@ -152,9 +204,8 @@ std::vector<MetricSnapshot> MetricsRegistry::Collect() const {
   for (const auto& [name, entry] : by_name_) {
     MetricSnapshot snap;
     snap.name = name;
-    snap.family = MetricFamily(name);
-    const auto help = help_by_family_.find(snap.family);
-    if (help != help_by_family_.end()) snap.help = help->second;
+    snap.family = entry.family;
+    snap.help = *entry.help;
     snap.type = entry.type;
     switch (entry.type) {
       case MetricType::kCounter:

@@ -16,9 +16,9 @@
 // plain snapshot structs; obs/export.h renders them as Prometheus text
 // exposition or JSON.
 //
-// The log2-microsecond bucket layout is shared with the engine's
-// LatencyHistogram via LatencyBucketIndex / LatencyBucketUpperSeconds so
-// every latency distribution in the system is bucket-compatible.
+// Every latency distribution in the system uses the one log2-microsecond
+// bucket layout of LatencyBucketIndex / LatencyBucketUpperSeconds, so they
+// are all bucket-compatible.
 
 #ifndef OSD_OBS_METRICS_H_
 #define OSD_OBS_METRICS_H_
@@ -26,6 +26,7 @@
 #include <array>
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -82,9 +83,10 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Sharded log2 latency histogram. Non-finite observations land in
-/// invalid() and never touch the buckets (same contract as the engine's
-/// LatencyHistogram).
+/// Sharded log2 latency histogram with exact min/max. Non-finite
+/// observations (NaN, ±inf) land in Invalid() and never touch the buckets
+/// or the moments, so a poisoned clock read cannot corrupt every later
+/// percentile. Negative observations count as 0.
 class Histogram {
  public:
   void Observe(double seconds);
@@ -92,7 +94,15 @@ class Histogram {
   long Count() const;
   long Invalid() const;
   double Sum() const;
+  /// Exact smallest / largest / mean observation; 0 with no samples.
+  double Min() const;
+  double Max() const;
+  double Mean() const;
   std::array<long, kLatencyBuckets> Buckets() const;
+
+  /// q in [0, 1]; 0 with no samples. Interpolates linearly inside the hit
+  /// bucket and clamps the result to the observed [Min(), Max()].
+  double Quantile(double q) const;
 
  private:
   struct alignas(64) Shard {
@@ -100,6 +110,8 @@ class Histogram {
     std::atomic<long> count{0};
     std::atomic<long> invalid{0};
     std::atomic<double> sum{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{0.0};
   };
   std::array<Shard, kMetricShards> shards_{};
 };
@@ -143,7 +155,15 @@ class MetricsRegistry {
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
     Histogram* histogram = nullptr;
+    std::string family;
+    const std::string* help = nullptr;  ///< node in help_by_family_
   };
+
+  /// Find-or-create behind GetCounter / GetGauge / GetHistogram: `slot`
+  /// names the Entry member that points into `store`.
+  template <typename T>
+  T& GetOrCreate(const std::string& name, const std::string& help,
+                 MetricType type, std::deque<T>& store, T* Entry::*slot);
 
   mutable std::mutex mu_;
   std::deque<Counter> counters_;

@@ -110,10 +110,18 @@ TEST(JsonTest, RejectsBadUtf8AndLoneSurrogates) {
 }
 
 TEST(JsonTest, EscapesStringsOnOutput) {
-  std::string out;
-  AppendJsonString(&out, "a\"b\\c\nd\x01");
-  const JsonValue v = MustParse(out);
-  EXPECT_EQ(v.AsString(), "a\"b\\c\nd\x01");
+  const std::string inputs[] = {
+      "a\"b\\c\nd\x01",
+      // Runs of plain text between adjacent escapes, at both ends, and
+      // multi-byte UTF-8 passed through unescaped.
+      "\"\"x{op=\"F+SD\"} 12\n\t\\" + std::string(100, 'y') + "\xc3\xa9\"",
+  };
+  for (const std::string& input : inputs) {
+    std::string out;
+    AppendJsonString(&out, input);
+    const JsonValue v = MustParse(out);
+    EXPECT_EQ(v.AsString(), input);
+  }
 }
 
 TEST(WireTest, FramesRoundTripAcrossFragmentedFeeds) {

@@ -3,7 +3,7 @@
 // (Prometheus golden file + JSON), the slow-query log, and the engine
 // integration (QuerySpec::collect_trace, MetricsText, Snapshot().metrics).
 // Also the regression suite for the accounting bugfixes: non-finite
-// latency samples (LatencyHistogram::Add UB) and EngineStats::ToJson
+// latency samples (histogram bucket UB) and EngineStats::ToJson
 // truncation with maxed counters.
 
 #include <climits>
@@ -199,6 +199,47 @@ TEST(MetricsTest, HistogramRoutesNonFiniteToInvalid) {
   EXPECT_EQ(hist.Count(), 1);
   EXPECT_EQ(hist.Invalid(), 3);
   EXPECT_NEAR(hist.Sum(), 1e-3, 1e-12);
+}
+
+TEST(MetricsTest, HistogramQuantilesAreOrderedAndClamped) {
+  obs::Histogram h;
+  for (int i = 1; i <= 1000; ++i) h.Observe(i * 1e-4);  // 0.1ms .. 100ms
+  EXPECT_EQ(h.Count(), 1000);
+  const double p50 = h.Quantile(0.50);
+  const double p95 = h.Quantile(0.95);
+  const double p99 = h.Quantile(0.99);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, p99);
+  EXPECT_LE(p99, h.Max());
+  EXPECT_GE(p50, h.Min());
+  // Log2 buckets are coarse; p50 of uniform(0.1ms, 100ms) must land within
+  // a factor-2 band of the true 50ms median.
+  EXPECT_GT(p50, 0.025);
+  EXPECT_LT(p50, 0.1);
+}
+
+// Regression: the engine's latency histogram once fed NaN through std::max
+// into std::log2, and the float-to-int cast of the NaN result is undefined
+// behaviour. Non-finite samples must land in Invalid() and leave the
+// buckets and the exact min / max / mean untouched.
+TEST(MetricsTest, HistogramNonFiniteSamplesLeaveMomentsExact) {
+  obs::Histogram hist;
+  hist.Observe(1e-3);
+  hist.Observe(std::numeric_limits<double>::quiet_NaN());
+  hist.Observe(std::numeric_limits<double>::infinity());
+  hist.Observe(-std::numeric_limits<double>::infinity());
+  hist.Observe(2e-3);
+  EXPECT_EQ(hist.Count(), 2);
+  EXPECT_EQ(hist.Invalid(), 3);
+  EXPECT_NEAR(hist.Mean(), 1.5e-3, 1e-12);
+  EXPECT_NEAR(hist.Min(), 1e-3, 1e-12);
+  EXPECT_NEAR(hist.Max(), 2e-3, 1e-12);
+  long total = 0;
+  for (long b : hist.Buckets()) total += b;
+  EXPECT_EQ(total, 2);
+  // Quantiles stay inside the observed range — no inf/NaN poisoning.
+  EXPECT_TRUE(std::isfinite(hist.Quantile(0.5)));
+  EXPECT_LE(hist.Quantile(0.99), 2e-3 + 1e-12);
 }
 
 TEST(MetricsTest, LatencyBucketLayoutIsLog2Microseconds) {
@@ -441,30 +482,6 @@ TEST(SlowQueryLogTest, SubThresholdRecordIsIgnored) {
 // Engine stats regressions.
 // ---------------------------------------------------------------------------
 
-// Regression: LatencyHistogram::Add fed NaN through std::max into
-// std::log2, and the float-to-int cast of the NaN result is undefined
-// behaviour. Non-finite samples must land in invalid() and leave the
-// buckets and moments untouched.
-TEST(EngineStatsRegression, HistogramAddRejectsNonFiniteSamples) {
-  LatencyHistogram hist;
-  hist.Add(1e-3);
-  hist.Add(std::numeric_limits<double>::quiet_NaN());
-  hist.Add(std::numeric_limits<double>::infinity());
-  hist.Add(-std::numeric_limits<double>::infinity());
-  hist.Add(2e-3);
-  EXPECT_EQ(hist.count(), 2);
-  EXPECT_EQ(hist.invalid(), 3);
-  EXPECT_NEAR(hist.mean_seconds(), 1.5e-3, 1e-12);
-  EXPECT_NEAR(hist.min_seconds(), 1e-3, 1e-12);
-  EXPECT_NEAR(hist.max_seconds(), 2e-3, 1e-12);
-  long total = 0;
-  for (long b : hist.buckets()) total += b;
-  EXPECT_EQ(total, 2);
-  // Quantiles stay inside the observed range — no inf/NaN poisoning.
-  EXPECT_TRUE(std::isfinite(hist.Quantile(0.5)));
-  EXPECT_LE(hist.Quantile(0.99), 2e-3 + 1e-12);
-}
-
 // Regression: EngineStats::ToJson built each piece with snprintf into a
 // fixed stack buffer and appended without checking the return value, so
 // large counter values silently truncated the JSON mid-token. With every
@@ -480,7 +497,7 @@ TEST(EngineStatsRegression, ToJsonSurvivesMaxedCounters) {
   s.latency_mean_ms = s.latency_p50_ms = s.latency_p95_ms = 1e17;
   s.latency_p99_ms = s.latency_max_ms = 1e17;
   s.latency_invalid = LONG_MAX;
-  for (int i = 0; i < 500; ++i) s.latency_histogram.Add(1e-3 * i);
+  s.latency_histogram.fill(LONG_MAX);
   s.filters.dist_evals = s.filters.scan_steps = LONG_MAX / 4;
   s.filters.pair_tests = LONG_MAX / 4;
   s.filters.node_ops = s.filters.flow_runs = LONG_MAX;
@@ -513,6 +530,12 @@ TEST(EngineStatsRegression, ToJsonSurvivesMaxedCounters) {
   EXPECT_NE(json.find(std::string("\"frontier_objects\":") + maxed),
             std::string::npos);
   EXPECT_NE(json.find("\"invalid\":") , std::string::npos);
+  // The last (largest) latency bucket is printed whole.
+  char last_bucket[64];
+  std::snprintf(last_bucket, sizeof(last_bucket), "[%.4f,%ld]]",
+                obs::LatencyBucketUpperSeconds(obs::kLatencyBuckets - 1) * 1e3,
+                LONG_MAX);
+  EXPECT_NE(json.find(last_bucket), std::string::npos);
   // The per-operator block survives too (5 operators, all maxed).
   EXPECT_NE(json.find("\"operators\":{"), std::string::npos);
   EXPECT_NE(json.find(std::string("\"queries\":") + maxed),
@@ -647,8 +670,9 @@ TEST(EngineObsTest, SlowQueryLogCapturesOverThresholdQueries) {
 
 TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
   // Concurrency smoke for the sharded counters: many queries on several
-  // threads, then exact agreement between the mutex-guarded stats and the
-  // relaxed sharded metrics. Runs under TSan via the tsan ctest label.
+  // threads, then exact agreement between the EngineStats view and the
+  // collected registry snapshot, read once every Wait() has returned. Runs
+  // under TSan via the tsan ctest label.
   QueryEngine engine(SmallDataset(120, 29), {.num_threads = 4});
   const auto workload = SmallWorkload(engine.dataset(), 32, 31);
   std::vector<QuerySpec> specs;

@@ -24,6 +24,7 @@
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
 #include "object/versioned_dataset.h"
+#include "obs/metrics.h"
 
 namespace osd {
 namespace {
@@ -78,7 +79,8 @@ void ExpectSameStats(const FilterStats& a, const FilterStats& b) {
 // --- ProfileCache unit semantics -------------------------------------------
 
 TEST(ProfileCacheTest, MissPublishHitRoundTrip) {
-  ProfileCache cache(1 << 20, nullptr);
+  obs::MetricsRegistry metrics;
+  ProfileCache cache(1 << 20, nullptr, metrics);
   EXPECT_EQ(cache.Lookup(7, 42, 3), nullptr);
   cache.Publish(7, 42, MakeArtifacts(3));
   const auto hit = cache.Lookup(7, 42, 3);
@@ -100,7 +102,8 @@ TEST(ProfileCacheTest, MissPublishHitRoundTrip) {
 // The directed epoch-invalidation contract: a lookup pinned at E+1 must
 // never see an entry built at E — the stale entry is evicted on the spot.
 TEST(ProfileCacheTest, NewerEpochLookupEvictsStaleEntry) {
-  ProfileCache cache(1 << 20, nullptr);
+  obs::MetricsRegistry metrics;
+  ProfileCache cache(1 << 20, nullptr, metrics);
   cache.Publish(7, 42, MakeArtifacts(/*epoch=*/5));
   ASSERT_NE(cache.Lookup(7, 42, 5), nullptr);
 
@@ -116,7 +119,8 @@ TEST(ProfileCacheTest, NewerEpochLookupEvictsStaleEntry) {
 // A query still pinned at an OLD epoch must not evict (or be served) an
 // entry some newer-epoch query already published.
 TEST(ProfileCacheTest, OlderEpochLookupLeavesNewerEntryInPlace) {
-  ProfileCache cache(1 << 20, nullptr);
+  obs::MetricsRegistry metrics;
+  ProfileCache cache(1 << 20, nullptr, metrics);
   cache.Publish(7, 42, MakeArtifacts(/*epoch=*/5));
   EXPECT_EQ(cache.Lookup(7, 42, 4), nullptr);  // old pin: miss, no eviction
   EXPECT_EQ(cache.GetCounters().stale_evictions, 0);
@@ -126,7 +130,8 @@ TEST(ProfileCacheTest, OlderEpochLookupLeavesNewerEntryInPlace) {
 TEST(ProfileCacheTest, EvictsLruUnderByteCap) {
   // Per-shard slices are cap/16, so a 64 KiB cap admits at most two 2 KiB
   // entries per shard; publishing many distinct keys must evict.
-  ProfileCache cache(64 << 10, nullptr);
+  obs::MetricsRegistry metrics;
+  ProfileCache cache(64 << 10, nullptr, metrics);
   for (int id = 0; id < 256; ++id) {
     cache.Publish(id, 42, MakeArtifacts(1, /*bytes=*/2048));
   }
@@ -139,7 +144,8 @@ TEST(ProfileCacheTest, EvictsLruUnderByteCap) {
 TEST(ProfileCacheTest, ChargesAndDrainsEngineBudget) {
   memory::MemoryBudget budget(0);  // track-only
   {
-    ProfileCache cache(1 << 20, &budget);
+    obs::MetricsRegistry metrics;
+    ProfileCache cache(1 << 20, &budget, metrics);
     cache.Publish(1, 42, MakeArtifacts(1, 4096));
     cache.Publish(2, 42, MakeArtifacts(1, 4096));
     EXPECT_EQ(budget.current_bytes(), 8192);
@@ -318,8 +324,12 @@ TEST(SharedCacheEngineTest, WriteInvalidatesAcrossEpochs) {
   const auto expected = run_queries(plain, workload);
 
   EXPECT_EQ(after_write, expected);
-  // The serve-time guard must never have been the thing that saved us.
+  // The serve-time guard must never have been the thing that saved us, and
+  // the exposition says so too.
   EXPECT_EQ(cached.Snapshot().profile_cache_stale_serves_averted, 0);
+  EXPECT_NE(cached.MetricsText().find(
+                "\nosd_profile_cache_stale_serves_averted_total 0\n"),
+            std::string::npos);
 }
 
 // Memory governance: resident entries are charged to the engine budget and
@@ -372,6 +382,9 @@ TEST(SharedCacheEngineTest, MixedOperatorsShareCacheCorrectly) {
   const EngineStats stats = engine.Snapshot();
   EXPECT_GT(stats.profile_cache_hits, 0);
   EXPECT_EQ(stats.profile_cache_stale_serves_averted, 0);
+  EXPECT_NE(engine.MetricsText().find(
+                "\nosd_profile_cache_stale_serves_averted_total 0\n"),
+            std::string::npos);
 
   EngineOptions solo_options;
   solo_options.num_threads = 1;
