@@ -17,7 +17,8 @@ BUILD_DIR="${1:-build-asan}"
 TARGETS="failpoint_test io_hardening_test io_test degraded_mode_test \
   engine_resilience_test obs_test mem_budget_test kernels_test \
   net_protocol_test net_hardening_test net_server_test \
-  versioned_dataset_test durability_test shared_cache_test"
+  versioned_dataset_test durability_test shared_cache_test \
+  nnc_test fuzz_ties_test"
 
 cmake -B "$BUILD_DIR" -S . \
   -DOSD_SANITIZE=address \

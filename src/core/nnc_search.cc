@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <queue>
+#include <utility>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -42,16 +43,10 @@ const char* TerminationName(NncTermination t) {
 
 }  // namespace
 
-NncSearch::NncSearch(const Dataset& dataset, NncOptions options)
-    : dataset_(&dataset), options_(options) {
+NncSearch::NncSearch(VersionedDataset::Snapshot snapshot, NncOptions options)
+    : snapshot_(std::move(snapshot)), options_(options) {
   OSD_CHECK(options_.k >= 1);
-}
-
-NncSearch::NncSearch(const VersionedDataset::Snapshot& snapshot,
-                     NncOptions options)
-    : snapshot_(&snapshot), options_(options) {
-  OSD_CHECK(options_.k >= 1);
-  OSD_CHECK(!snapshot.empty());
+  OSD_CHECK(!snapshot_.empty());
 }
 
 NncResult NncSearch::Run(
@@ -77,18 +72,10 @@ NncResult NncSearch::Run(
           : std::chrono::steady_clock::time_point::max());
   QueryContext ctx(query, options_.metric);
   DominanceOracle oracle(ctx, options_.filters, &result.stats);
-  // Snapshot mode reads through the pinned epoch: the base R-tree plus a
-  // tombstone check per leaf entry, and the delta objects seeded into the
-  // frontier below. Plain mode is the original immutable-dataset path.
-  const RTree& tree = snapshot_ != nullptr ? snapshot_->global_tree()
-                                           : dataset_->global_tree();
-  auto object_at = [&](int i) -> const UncertainObject& {
-    return snapshot_ != nullptr ? snapshot_->object(i) : dataset_->object(i);
-  };
-  auto is_deleted = [&](int32_t i) {
-    return snapshot_ != nullptr && snapshot_->deleted(i);
-  };
-  if (snapshot_ != nullptr) result.epoch = snapshot_->epoch();
+  // The pinned epoch: the base R-tree plus a tombstone check per leaf
+  // entry, and the delta objects seeded into the frontier below.
+  const RTree& tree = snapshot_.global_tree();
+  result.epoch = snapshot_.epoch();
 
   // Scratch arena for profile buffers, installed thread-locally like the
   // trace and budget scopes. Declared before `members` so the profiles are
@@ -127,24 +114,20 @@ NncResult NncSearch::Run(
                           options_.metric),
                false, tree.root()});
   }
-  if (snapshot_ != nullptr) {
-    // Delta objects are not in the base tree: seed each one directly as an
-    // object item, keyed by its MBR min-distance like a leaf entry would
-    // be, so the best-first order (and with it Theorem 9's access-order
-    // argument) is preserved across base and delta uniformly.
-    const int nbase = snapshot_->base_size();
-    const int ntotal = snapshot_->size();
-    long pushes = 0;
-    for (int i = nbase; i < ntotal; ++i) {
-      if (i != options_.exclude_id) ++pushes;
-    }
-    run_mem.Add(pushes * static_cast<long>(sizeof(HeapItem)));
-    for (int i = nbase; i < ntotal; ++i) {
-      if (i == options_.exclude_id) continue;
-      heap.push({MbrMinDist(snapshot_->object(i).mbr(), ctx.mbr(),
-                            options_.metric),
-                 true, i});
-    }
+  // Delta objects (an empty range without a delta) are not in the base
+  // tree: seed each one directly as an object item, keyed by its MBR
+  // min-distance like a leaf entry would be, so the best-first order (and
+  // with it Theorem 9's access-order argument) covers base and delta alike.
+  long delta_pushes = 0;
+  for (int i = snapshot_.base_size(); i < snapshot_.size(); ++i) {
+    if (i != options_.exclude_id) ++delta_pushes;
+  }
+  run_mem.Add(delta_pushes * static_cast<long>(sizeof(HeapItem)));
+  for (int i = snapshot_.base_size(); i < snapshot_.size(); ++i) {
+    if (i == options_.exclude_id) continue;
+    heap.push({MbrMinDist(snapshot_.object(i).mbr(), ctx.mbr(),
+                          options_.metric),
+               true, i});
   }
 
   const QueryControl* control = options_.control;
@@ -188,7 +171,7 @@ NncResult NncSearch::Run(
           int node_dominators = 0;
           for (const Member& m : members) {
             result.stats.node_ops += 1;
-            if (MbrStrictlyDominatesM(object_at(m.object_index).mbr(),
+            if (MbrStrictlyDominatesM(snapshot_.object(m.object_index).mbr(),
                                       node.box, ctx.mbr(), options_.metric)) {
               if (++node_dominators >= options_.k) break;
             }
@@ -204,7 +187,9 @@ NncResult NncSearch::Run(
           if (node.is_leaf) {
             for (int32_t e : node.children) {
               const int32_t id = tree.entries()[e].id;
-              if (id != options_.exclude_id && !is_deleted(id)) ++pushes;
+              if (id != options_.exclude_id && !snapshot_.deleted(id)) {
+                ++pushes;
+              }
             }
           } else {
             pushes = static_cast<long>(node.children.size());
@@ -215,7 +200,7 @@ NncResult NncSearch::Run(
             for (int32_t e : node.children) {
               const RTree::Entry& entry = tree.entries()[e];
               if (entry.id == options_.exclude_id) continue;
-              if (is_deleted(entry.id)) continue;  // tombstoned base slot
+              if (snapshot_.deleted(entry.id)) continue;  // tombstoned slot
               heap.push({MbrMinDist(entry.box, ctx.mbr(), options_.metric),
                          true, entry.id});
             }
@@ -234,7 +219,7 @@ NncResult NncSearch::Run(
         // a dominator of later objects (each of its own dominators
         // dominates them transitively), so it is dropped outright.
         OSD_FAILPOINT("nnc.object_examine");
-        const UncertainObject& candidate = object_at(item.id);
+        const UncertainObject& candidate = snapshot_.object(item.id);
         ++result.objects_examined;
         auto profile =
             std::make_unique<ObjectProfile>(candidate, ctx, &result.stats);
@@ -360,7 +345,7 @@ NncResult NncSearch::Run(
         for (int32_t e : node.children) {
           const RTree::Entry& entry = tree.entries()[e];
           if (entry.id == options_.exclude_id) continue;
-          if (is_deleted(entry.id)) continue;  // tombstoned base slot
+          if (snapshot_.deleted(entry.id)) continue;  // tombstoned slot
           result.candidates.push_back(entry.id);
           ++result.frontier_objects;
         }

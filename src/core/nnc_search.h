@@ -151,32 +151,32 @@ struct NncResult {
   /// arena (core/profile_scratch.h); the pooled bytes themselves stay
   /// charged against the memory budget while parked.
   long mem_scratch_reuse_bytes = 0;
-  /// Epoch of the VersionedDataset snapshot this query ran against; 0 when
-  /// the search was constructed over a plain (unversioned) Dataset.
+  /// Epoch of the snapshot this query ran against (0 for a borrowed
+  /// Dataset, see Snapshot::Borrow).
   uint64_t epoch = 0;
 };
 
-/// NN-candidate search engine over a dataset.
+/// NN-candidate search over one epoch of a VersionedDataset, held by value
+/// so the epoch stays pinned for the life of the NncSearch. Result indices
+/// and NncOptions::exclude_id are *snapshot* indices: traversal skips
+/// tombstoned base slots and seeds the delta objects [base_size(), size())
+/// straight into the frontier (they are not in the base R-tree).
 ///
 /// Thread-safety: Run is const and keeps all per-query state (QueryContext,
 /// DominanceOracle, ObjectProfiles, the traversal heap) on its own stack,
 /// so any number of threads may call Run concurrently on one NncSearch —
-/// or on distinct NncSearch instances sharing one Dataset. The only shared
+/// or on distinct NncSearch instances sharing one epoch. The only shared
 /// mutable state reached from Run is the lazily built per-object local
 /// R-tree, which UncertainObject::LocalTree() builds under a per-object
 /// mutex (double-checked against an atomically published pointer).
 class NncSearch {
  public:
-  NncSearch(const Dataset& dataset, NncOptions options);
+  NncSearch(VersionedDataset::Snapshot snapshot, NncOptions options);
 
-  /// Search over one pinned epoch of a VersionedDataset. The snapshot is
-  /// borrowed, not copied (same lifetime contract as NncOptions::control):
-  /// the caller keeps it alive — and thereby the epoch pinned — across
-  /// every Run call. Object indices in results and NncOptions::exclude_id
-  /// are *snapshot* indices: base-tree traversal skips tombstoned slots,
-  /// and the delta objects [base_size(), size()) are seeded straight into
-  /// the frontier (they are not in the base R-tree).
-  NncSearch(const VersionedDataset::Snapshot& snapshot, NncOptions options);
+  /// Searches a borrowed Snapshot::Borrow view: `dataset` must outlive
+  /// the NncSearch.
+  NncSearch(const Dataset& dataset, NncOptions options)
+      : NncSearch(VersionedDataset::Snapshot::Borrow(dataset), options) {}
 
   /// Computes NNC(O, Q, SD). `on_candidate(object_index, elapsed_seconds)`
   /// is invoked for every progressive emission when provided.
@@ -185,8 +185,7 @@ class NncSearch {
                     nullptr) const;
 
  private:
-  const Dataset* dataset_ = nullptr;               // plain mode
-  const VersionedDataset::Snapshot* snapshot_ = nullptr;  // snapshot mode
+  VersionedDataset::Snapshot snapshot_;
   NncOptions options_;
 };
 

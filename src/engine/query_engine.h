@@ -1,8 +1,9 @@
 // Concurrent batch NNC query engine.
 //
-// A QueryEngine owns one immutable Dataset (with its prebuilt global
-// R-tree) and executes NNC queries against it on a fixed-size ThreadPool
-// with a bounded submission queue. Each submitted query yields a
+// A QueryEngine owns a VersionedDataset built from its Dataset and runs
+// NNC queries on a fixed-size ThreadPool with a bounded submission queue,
+// each over the epoch snapshot pinned at Submit (callers that want "the
+// data" acquire a snapshot from versioned()). Each query yields a
 // QueryTicket; per-query deadlines and cancellation are plumbed into the
 // traversal through the QueryControl hook in NncOptions and are honoured
 // at heap pops, so even a mid-flight query stops within a bounded amount
@@ -253,12 +254,6 @@ class QueryEngine {
   std::string SlowQueryDump() const { return slow_log_.DumpJson(); }
 
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
-
-  /// The immortal epoch-0 dataset the engine was constructed with (the
-  /// versioned store's seed). Static-data callers — benchmarks, the CLI's
-  /// info path, tests over immutable data — keep working unchanged;
-  /// anything epoch-aware goes through versioned() instead.
-  const Dataset& dataset() const { return versioned_->seed(); }
 
   /// The engine's mutable store. Writers call versioned().Apply(); each
   /// query pins the then-current epoch at Submit and is immune to later

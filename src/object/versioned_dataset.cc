@@ -66,6 +66,16 @@ VersionedDataset::Snapshot& VersionedDataset::Snapshot::operator=(
 
 VersionedDataset::Snapshot::~Snapshot() { Unpin(); }
 
+VersionedDataset::Snapshot VersionedDataset::Snapshot::Borrow(
+    const Dataset& dataset) {
+  // Aliasing constructor over an empty owner: a non-owning pointer with no
+  // control block, so the state never frees the caller's dataset.
+  return Snapshot(MakeState(std::shared_ptr<const Dataset>(
+                                std::shared_ptr<const Dataset>(), &dataset),
+                            /*epoch=*/0, /*log_pos=*/0),
+                  /*pins=*/nullptr);
+}
+
 void VersionedDataset::Snapshot::Unpin() {
   if (state_ != nullptr && pins_ != nullptr) pins_->Unpin(state_->epoch);
   state_.reset();
@@ -148,11 +158,10 @@ std::shared_ptr<VersionedDataset::State> VersionedDataset::MakeState(
 }
 
 VersionedDataset::VersionedDataset(Dataset base, memory::MemoryBudget* budget)
-    : seed_(std::make_shared<const Dataset>(std::move(base))),
-      budget_(budget),
-      pins_(std::make_shared<PinTable>()) {
-  current_ = MakeState(seed_, /*epoch=*/0, /*log_pos=*/0);
-  dim_ = seed_->dim();
+    : budget_(budget), pins_(std::make_shared<PinTable>()) {
+  current_ = MakeState(std::make_shared<const Dataset>(std::move(base)),
+                       /*epoch=*/0, /*log_pos=*/0);
+  dim_ = current_->base->dim();
 }
 
 VersionedDataset::~VersionedDataset() { StopFoldThread(); }

@@ -30,11 +30,14 @@
 // per-snapshot; the stable name of an object across epochs is its
 // *external id* (UncertainObject::id()), which is what mutations address.
 //
+// Snapshots are the only read path. The store keeps no other reference to
+// its epoch-0 base, which retires like any state once folded and unpinned.
+//
 // Memory governance. Delta objects are charged against the engine
 // MemoryBudget when a batch is admitted (TryCharge refusal makes the whole
 // batch fail with a recoverable error) and released when the object's last
 // shared_ptr dies — i.e. when every state/snapshot referencing it has
-// retired. Folded bases are uncharged, matching the seed dataset, so a
+// retired. Every base (epoch 0's and each fold's) is uncharged, so a
 // store that folds and drains its snapshots returns the budget to zero.
 //
 // Thread-safety: all public members are safe to call concurrently.
@@ -91,6 +94,10 @@ class VersionedDataset {
     Snapshot(Snapshot&& other) noexcept;
     Snapshot& operator=(Snapshot&& other) noexcept;
     ~Snapshot();
+
+    /// Epoch-0 view of an immutable Dataset, borrowed (nothing copied, no
+    /// PinTable): `dataset` must outlive the Snapshot and all its copies.
+    static Snapshot Borrow(const Dataset& dataset);
 
     bool empty() const { return state_ == nullptr; }
     uint64_t epoch() const;
@@ -156,8 +163,7 @@ class VersionedDataset {
   };
 
   /// Wraps `base` as epoch 0. `budget` (may be null) is charged for every
-  /// admitted delta object; the base itself is uncharged, matching how the
-  /// engine accounts its seed dataset.
+  /// admitted delta object; the base itself is uncharged.
   explicit VersionedDataset(Dataset base,
                             memory::MemoryBudget* budget = nullptr);
   ~VersionedDataset();
@@ -231,11 +237,6 @@ class VersionedDataset {
   /// released — the leak check used by tests and the chaos harness).
   long live_snapshots() const;
 
-  /// The immortal epoch-0 base this store was constructed with. Never
-  /// retired; serves legacy callers that want "the dataset" without
-  /// pinning (CLI info, benchmarks over static data).
-  const Dataset& seed() const { return *seed_; }
-
   /// Store dimensionality: fixed at construction from the base, or by the
   /// first inserted object when the base was empty; 0 while unset.
   int dim() const;
@@ -290,7 +291,6 @@ class VersionedDataset {
 
   void FoldThreadMain(double interval_s, int delta_threshold);
 
-  const std::shared_ptr<const Dataset> seed_;
   memory::MemoryBudget* const budget_;
   std::shared_ptr<PinTable> pins_;
 

@@ -3,10 +3,13 @@
 // must be a duplicate-free superset of the exact serial answer (the
 // no-false-dismissal contract of Theorems 4 and 9), for all four
 // operators, under both deadline and cancellation terminations, at the
-// search layer and through the engine.
+// search layer (over a plain dataset and over a mutated snapshot) and
+// through the engine.
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "datagen/generators.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
+#include "object/versioned_dataset.h"
 
 namespace osd {
 namespace {
@@ -116,6 +120,71 @@ TEST(DegradedModeTest, MidTraversalCancellationYieldsSuperset) {
     // ahead of the frontier.
     EXPECT_GT(static_cast<long>(degraded.candidates.size()),
               degraded.frontier_objects);
+  }
+}
+
+TEST(DegradedModeTest, DrainOverAMutatedSnapshotSkipsDeadAndExcludedSlots) {
+  VersionedDataset store{SmallDataset()};
+  const QueryWorkloadEntry entry = OneQuery(SmallDataset());
+  const Mbr& box = entry.query.mbr();
+  // Delta objects placed around the query, where they compete for the
+  // answer: fresh inserts, and updates that tombstone their base slot.
+  auto near = [&](int id, double dx) {
+    const double x = box.Center(0) + dx;
+    const double y = box.Center(1) - dx;
+    return std::make_shared<const UncertainObject>(
+        UncertainObject::Uniform(id, 2, {x, y, x + 40.0, y + 25.0}));
+  };
+  std::vector<Mutation> ops;
+  for (int i = 0; i < 4; ++i) {
+    ops.push_back(
+        {Mutation::Kind::kInsert, 1000 + i, near(1000 + i, 30.0 * i)});
+  }
+  for (int id : {2, 9, 21}) {
+    ops.push_back({Mutation::Kind::kUpdate, id, near(id, -35.0 * id)});
+  }
+  for (int id : {5, 17, 33, 101, 64}) {
+    ops.push_back({Mutation::Kind::kDelete, id, nullptr});
+  }
+  std::string error;
+  ASSERT_TRUE(store.Apply(std::move(ops), &error)) << error;
+  const VersionedDataset::Snapshot snap = store.Acquire();
+  ASSERT_GT(snap.size(), snap.base_size());
+  ASSERT_LT(snap.live_size(), snap.size());
+
+  // Exclude a live base slot (the drain's leaf scan) and a delta slot
+  // (the frontier seeding).
+  for (int exclude : {snap.IndexOf(entry.seeded_from), snap.base_size() + 1}) {
+    for (Operator op : kAllOps) {
+      SCOPED_TRACE(std::string(OperatorName(op)) + " exclude " +
+                   std::to_string(exclude));
+      NncOptions options;
+      options.op = op;
+      options.exclude_id = exclude;
+      const NncResult exact = NncSearch(snap, options).Run(entry.query);
+      ASSERT_EQ(exact.termination, NncTermination::kComplete);
+      ASSERT_TRUE(std::any_of(
+          exact.candidates.begin(), exact.candidates.end(),
+          [&](int idx) { return idx >= snap.base_size(); }))
+          << "the delta should reach the exact answer";
+
+      QueryControl control;
+      control.deadline = std::chrono::steady_clock::now();
+      options.control = &control;
+      options.degraded_superset = true;
+      const NncResult degraded = NncSearch(snap, options).Run(entry.query);
+
+      EXPECT_EQ(degraded.termination, NncTermination::kDeadlineExceeded);
+      EXPECT_EQ(degraded.epoch, snap.epoch());
+      ExpectCertifiedSuperset(degraded, exact.candidates);
+      for (int idx : degraded.candidates) {
+        EXPECT_FALSE(snap.deleted(idx)) << "tombstoned slot " << idx;
+        EXPECT_NE(idx, exclude);
+      }
+      // Every live slot but the excluded one drains: nothing was examined.
+      EXPECT_EQ(static_cast<int>(degraded.candidates.size()),
+                snap.live_size() - 1);
+    }
   }
 }
 

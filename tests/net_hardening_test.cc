@@ -5,6 +5,7 @@
 // (or gets a precise error), the server and its other tenants do not.
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -51,6 +52,15 @@ UncertainObject SlowQuery() {
   }
   return UncertainObject::FromWeighted(-1, 2, std::move(coords),
                                        std::move(weights));
+}
+
+/// Value of the unlabeled series `name` in a Prometheus text exposition,
+/// or -1 when the exposition has no such line.
+long CounterValue(const std::string& exposition, const std::string& name) {
+  const std::string needle = "\n" + name + " ";
+  const size_t pos = exposition.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::strtol(exposition.c_str() + pos + needle.size(), nullptr, 10);
 }
 
 // --- parser-level corpus --------------------------------------------------
@@ -511,9 +521,22 @@ TEST_F(LiveServerHardeningTest, CandidatesCoalesceAboveHighWatermark) {
 
   // Let the query finish server-side while the client has not read a
   // byte; the coalesced summary and result frame are then already queued
-  // behind the metrics responses.
-  for (int i = 0; i < 1000 && server_->queries_completed() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // behind the metrics responses. Answering 4000 metrics requests takes
+  // seconds under sanitizers, so the wait is bounded by progress, not by
+  // the clock: it gives up only after 10 s in which the server queued no
+  // further response frame.
+  long frames_sent = -1;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (server_->queries_completed() < 1 &&
+         std::chrono::steady_clock::now() - last_progress <
+             std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const long sent = CounterValue(server_->MetricsText(),
+                                   "osd_net_frames_sent_total");
+    if (sent != frames_sent) {
+      frames_sent = sent;
+      last_progress = std::chrono::steady_clock::now();
+    }
   }
   ASSERT_GE(server_->queries_completed(), 1);
 

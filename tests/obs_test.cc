@@ -565,8 +565,9 @@ std::vector<QueryWorkloadEntry> SmallWorkload(const Dataset& dataset, int n,
 }
 
 TEST(EngineObsTest, CollectTraceFillsTicketTrace) {
-  QueryEngine engine(SmallDataset(), {.num_threads = 2});
-  const auto workload = SmallWorkload(engine.dataset(), 4);
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset, {.num_threads = 2});
+  const auto workload = SmallWorkload(dataset, 4);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (size_t i = 0; i < workload.size(); ++i) {
     QuerySpec spec;
@@ -598,8 +599,9 @@ TEST(EngineObsTest, CollectTraceFillsTicketTrace) {
 }
 
 TEST(EngineObsTest, MetricsTextExposesQueryCounters) {
-  QueryEngine engine(SmallDataset(), {.num_threads = 2});
-  const auto workload = SmallWorkload(engine.dataset(), 6);
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset, {.num_threads = 2});
+  const auto workload = SmallWorkload(dataset, 6);
   std::vector<QuerySpec> specs;
   for (const auto& entry : workload) {
     QuerySpec spec;
@@ -639,11 +641,12 @@ TEST(EngineObsTest, MetricsTextExposesQueryCounters) {
 
 TEST(EngineObsTest, SlowQueryLogCapturesOverThresholdQueries) {
   // Threshold ~0: every completion qualifies.
-  QueryEngine engine(SmallDataset(),
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset,
                      {.num_threads = 2,
                       .slow_query_threshold_ms = 1e-6,
                       .slow_query_log_capacity = 3});
-  const auto workload = SmallWorkload(engine.dataset(), 5);
+  const auto workload = SmallWorkload(dataset, 5);
   for (const auto& entry : workload) {
     QuerySpec spec;
     spec.query = entry.query;
@@ -673,8 +676,9 @@ TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
   // threads, then exact agreement between the EngineStats view and the
   // collected registry snapshot, read once every Wait() has returned. Runs
   // under TSan via the tsan ctest label.
-  QueryEngine engine(SmallDataset(120, 29), {.num_threads = 4});
-  const auto workload = SmallWorkload(engine.dataset(), 32, 31);
+  const Dataset dataset = SmallDataset(120, 29);
+  QueryEngine engine(dataset, {.num_threads = 4});
+  const auto workload = SmallWorkload(dataset, 32, 31);
   std::vector<QuerySpec> specs;
   for (const auto& entry : workload) {
     QuerySpec spec;

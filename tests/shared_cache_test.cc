@@ -190,8 +190,9 @@ struct RunOutcome {
 /// a caching engine gets intra-run hits.
 std::vector<RunOutcome> RunWorkload(const EngineOptions& engine_options,
                                     Operator op, int repeats = 2) {
-  QueryEngine engine(SmallDataset(), engine_options);
-  const auto workload = SmallWorkload(engine.dataset(), 6);
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset, engine_options);
+  const auto workload = SmallWorkload(dataset, 6);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int r = 0; r < repeats; ++r) {
     for (const QueryWorkloadEntry& entry : workload) {
@@ -257,8 +258,9 @@ TEST(SharedCacheEngineTest, RepeatedQueriesHitTheCache) {
   EngineOptions options;
   options.num_threads = 1;
   options.profile_cache_bytes = 64 << 20;
-  QueryEngine engine(SmallDataset(), options);
-  const auto workload = SmallWorkload(engine.dataset(), 2);
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset, options);
+  const auto workload = SmallWorkload(dataset, 2);
   for (int r = 0; r < 3; ++r) {
     for (const QueryWorkloadEntry& entry : workload) {
       QuerySpec spec;
@@ -310,8 +312,9 @@ TEST(SharedCacheEngineTest, WriteInvalidatesAcrossEpochs) {
   EngineOptions cached_options;
   cached_options.num_threads = 1;
   cached_options.profile_cache_bytes = 64 << 20;
-  QueryEngine cached(SmallDataset(), cached_options);
-  const auto workload = SmallWorkload(cached.dataset(), 4);
+  const Dataset dataset = SmallDataset();
+  QueryEngine cached(dataset, cached_options);
+  const auto workload = SmallWorkload(dataset, 4);
 
   run_queries(cached, workload);  // warm at epoch 0
   mutate(cached);                 // epoch bump
@@ -338,8 +341,9 @@ TEST(SharedCacheEngineTest, DrainReleasesEveryCachedByte) {
   EngineOptions options;
   options.num_threads = 1;
   options.profile_cache_bytes = 64 << 20;
-  QueryEngine engine(SmallDataset(), options);
-  for (const QueryWorkloadEntry& entry : SmallWorkload(engine.dataset(), 4)) {
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset, options);
+  for (const QueryWorkloadEntry& entry : SmallWorkload(dataset, 4)) {
     QuerySpec spec;
     spec.query = entry.query;
     spec.options.op = Operator::kPSd;
@@ -363,8 +367,9 @@ TEST(SharedCacheEngineTest, MixedOperatorsShareCacheCorrectly) {
   EngineOptions options;
   options.num_threads = 2;
   options.profile_cache_bytes = 64 << 20;
-  QueryEngine engine(SmallDataset(), options);
-  const auto workload = SmallWorkload(engine.dataset(), 4);
+  const Dataset dataset = SmallDataset();
+  QueryEngine engine(dataset, options);
+  const auto workload = SmallWorkload(dataset, 4);
   auto make_spec = [&](size_t i, Operator op) {
     QuerySpec spec;
     spec.query = workload[i].query;
@@ -415,8 +420,9 @@ TEST(EngineStatsTest, ShedTicketsDoNotInflateThroughput) {
   options.shed_on_overload = true;
   options.engine_mem_bytes = 1 << 20;
   options.mem_high_water_fraction = 0.5;
-  QueryEngine engine(SmallDataset(100), options);
-  const auto workload = SmallWorkload(engine.dataset(), 1);
+  const Dataset dataset = SmallDataset(100);
+  QueryEngine engine(dataset, options);
+  const auto workload = SmallWorkload(dataset, 1);
 
   // One query that actually runs...
   {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <atomic>
 #include <chrono>
@@ -502,6 +503,59 @@ TEST(VersionedDatasetTest, SnapshotPinsAreRefcountedAcrossCopies) {
     EXPECT_EQ(store.live_snapshots(), 4);
   }
   EXPECT_EQ(store.live_snapshots(), 0);
+}
+
+TEST(VersionedDatasetTest, SearchOwnsItsPinUntilDestroyed) {
+  const Dataset dataset = SmallDataset();
+  VersionedDataset store{Dataset(dataset)};
+  WorkloadParams wp;
+  wp.num_queries = 1;
+  wp.query_instances = 3;
+  const QueryWorkloadEntry entry = GenerateWorkload(dataset, wp)[0];
+  NncOptions options;
+  options.op = Operator::kSSd;
+  options.exclude_id = entry.seeded_from;
+  const NncResult before = NncSearch(dataset, options).Run(entry.query);
+
+  std::optional<NncSearch> search;
+  {
+    const VersionedDataset::Snapshot snap = store.Acquire();
+    search.emplace(snap, options);
+    EXPECT_EQ(store.live_snapshots(), 2);
+  }
+  EXPECT_EQ(store.live_snapshots(), 1) << "the search keeps epoch 0 pinned";
+
+  // Writes and a fold retire epoch 0 from the store; the search still
+  // reads it, unchanged.
+  std::string error;
+  ASSERT_TRUE(store.Apply({Delete(entry.seeded_from == 3 ? 4 : 3),
+                           Insert(9001, 0.0)},
+                          &error))
+      << error;
+  store.Fold();
+  const NncResult pinned = search->Run(entry.query);
+  EXPECT_EQ(pinned.epoch, 0u);
+  EXPECT_EQ(pinned.candidates, before.candidates);
+  EXPECT_EQ(store.live_snapshots(), 1);
+
+  search.reset();
+  EXPECT_EQ(store.live_snapshots(), 0);
+}
+
+TEST(VersionedDatasetTest, BorrowedSnapshotViewsTheDatasetInPlace) {
+  const Dataset dataset = SmallDataset(20);
+  const VersionedDataset::Snapshot snap =
+      VersionedDataset::Snapshot::Borrow(dataset);
+  EXPECT_EQ(snap.epoch(), 0u);
+  EXPECT_EQ(snap.base_size(), dataset.size());
+  EXPECT_EQ(snap.size(), dataset.size());
+  EXPECT_EQ(snap.live_size(), dataset.size());
+  EXPECT_EQ(&snap.global_tree(), &dataset.global_tree());
+  for (int i = 0; i < dataset.size(); ++i) {
+    EXPECT_EQ(&snap.object(i), &dataset.object(i)) << "no object is copied";
+    EXPECT_FALSE(snap.deleted(i));
+    EXPECT_EQ(snap.IndexOf(dataset.object(i).id()), i);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -148,10 +148,11 @@ std::vector<Combo> PrecomputeExact() {
       }
     }
   }
-  QueryEngine engine(MakeDataset(), EngineOptions{.num_threads = 2});
+  const Dataset dataset = MakeDataset();
+  QueryEngine engine(dataset, EngineOptions{.num_threads = 2});
   for (Combo& combo : combos) {
     QuerySpec spec;
-    spec.query = engine.dataset().object(combo.object);
+    spec.query = dataset.object(combo.object);
     spec.options.op = combo.op;
     spec.options.k = combo.k;
     spec.options.exclude_id = combo.object;

@@ -471,10 +471,13 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
 
-  std::fprintf(stderr,
-               "osd_server: %d objects, dim %d, %d worker thread(s)\n",
-               engine.dataset().size(), engine.dataset().dim(),
-               engine.num_threads());
+  {
+    // Scoped so the boot epoch is not pinned for the life of the server.
+    const VersionedDataset::Snapshot boot = engine.versioned().Acquire();
+    std::fprintf(stderr,
+                 "osd_server: %d objects, dim %d, %d worker thread(s)\n",
+                 boot.live_size(), boot.dim(), engine.num_threads());
+  }
   // The machine-readable ready line; the smoke harness parses it.
   std::printf("listening on %s:%d\n", args.host.c_str(), server.port());
   std::fflush(stdout);
